@@ -26,8 +26,7 @@ import numpy as np
 from repro.devtools.benchval import validate_bench_predict
 from repro.forest import (
     GradientBoostingRegressor,
-    bitvector_for,
-    packed_for,
+    encoding_for,
     set_prediction_engine,
 )
 from repro.forest.engines import DEFAULT_ENGINE
@@ -69,19 +68,13 @@ def _time_predict(
     """Best-of-``repeats`` wall time; the minimum filters scheduler noise."""
     set_prediction_engine(engine)
     try:
-        if engine == "packed":
-            # Warm the encoding once so the timing isolates evaluation.
-            packed = packed_for(model)
-            assert packed is not None
-            packed.clear_cache()
-            run = lambda: packed.predict_raw(X, use_cache=False)
-        elif engine == "bitvector":
-            encoded = bitvector_for(model)
-            assert encoded is not None
-            encoded.clear_cache()
-            run = lambda: encoded.predict_raw(X, use_cache=False)
-        else:
+        if engine == "loop":
             run = lambda: model.predict_raw(X)
+        else:
+            # Warm the encoding once so the timing isolates evaluation.
+            encoded = encoding_for(model, engine)
+            assert encoded is not None
+            run = lambda: encoded.predict_raw(X)
         best = np.inf
         for _ in range(repeats):
             start = time.perf_counter()

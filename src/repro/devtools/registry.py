@@ -115,18 +115,9 @@ _ENTRIES = (
     GlobalEntry(
         module="repro.forest.engines", name="_ENGINE_SPECS",
         discipline="lock", lock="_state_lock",
-        atomic_reads=("_spec_chain",),
-        rationale="dict.get on a dict that only grows at import time; "
-        "dispatch never observes a partially built spec",
-    ),
-    # repro.forest.packed — n_jobs knob, guarded by packed._state_lock;
-    # per-model pack caches hang off model.__dict__ under _pack_lock.
-    GlobalEntry(
-        module="repro.forest.packed", name="_default_n_jobs",
-        discipline="lock", lock="_state_lock",
-        atomic_reads=("get_default_n_jobs", "PackedForest._evaluate"),
-        rationale="single atomic int load per predict call; a stale "
-        "value only changes the thread count of one batch",
+        atomic_reads=("_spec_chain", "encoding_for", "restore_encoding"),
+        rationale="dict lookups on a dict that only grows at import "
+        "time; dispatch never observes a partially built spec",
     ),
     # repro.core.numerics — sanitizer mode and the kernel fault-injection
     # hook, both guarded by numerics._mode_lock (hot-path reads lock-free).

@@ -14,16 +14,21 @@ Prediction runs on the traversal-free bitvector engine by default
 :mod:`repro.forest.bitvector`), falling back to the packed single-pass
 descent (:mod:`repro.forest.packed`) for forests the bitvector encoding
 declines; ``set_prediction_engine("packed")`` or ``"loop"`` selects the
-older engines, which are bitwise identical but slower.  The registry of
-selectable engines lives in :mod:`repro.forest.engines`.
+other engines, which are bitwise identical but slower.  The engine
+registry, the per-model encoding slot and the evaluation shell both
+kernels share live in :mod:`repro.forest.engines`.
 """
 
 from .binning import BinMapper
-from .bitvector import BitvectorForest, bitvector_for, invalidate_bitvector
+from .bitvector import BitvectorForest
 from .boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from .engines import (
+    encoding_for,
+    engine_for,
     engine_names,
+    forest_fingerprint,
     get_prediction_engine,
+    invalidate_encodings,
     set_prediction_engine,
 )
 from .grower import TreeGrowerParams, grow_tree
@@ -36,14 +41,7 @@ from .model_io import (
     load_forest,
     save_forest,
 )
-from .packed import (
-    PackedForest,
-    forest_fingerprint,
-    get_default_n_jobs,
-    invalidate_packed,
-    packed_for,
-    set_default_n_jobs,
-)
+from .packed import PackedForest
 from .random_forest import RandomForestClassifier, RandomForestRegressor
 from .text_dump import dump_tree, forest_summary
 from .tree import LEAF, Tree
@@ -64,26 +62,23 @@ __all__ = [
     "SquaredLoss",
     "Tree",
     "TreeGrowerParams",
-    "bitvector_for",
     "cross_val_score",
     "dump_tree",
+    "encoding_for",
+    "engine_for",
     "engine_names",
     "forest_fingerprint",
     "forest_from_dict",
     "forest_summary",
     "forest_to_dict",
     "forests_equal",
-    "get_default_n_jobs",
     "get_loss",
     "get_prediction_engine",
     "grow_tree",
-    "invalidate_bitvector",
-    "invalidate_packed",
+    "invalidate_encodings",
     "kfold_indices",
     "load_forest",
-    "packed_for",
     "save_forest",
-    "set_default_n_jobs",
     "set_prediction_engine",
     "sigmoid",
     "train_test_split",

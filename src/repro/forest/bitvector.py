@@ -44,43 +44,22 @@ budget or whose prefix tables would exceed :data:`MAX_TABLE_BYTES`
 decline packing and fall back to the packed engine (see
 :mod:`repro.forest.engines` for the ladder).
 
-The reduction replays the exact sequential accumulation order of the
-per-tree loop via a cumulative sum, so bitvector, packed and loop
+The reduction (shared by every engine, see
+:class:`repro.forest.engines.EncodedForest`) replays the exact sequential
+accumulation order of the per-tree loop, so bitvector, packed and loop
 outputs are bit-for-bit equal.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from ..core.numerics import NumericsError, assert_all_finite, strict_enabled
-from ..obs.metrics import get_metrics, inc as metric_inc, observe as metric_observe
-from ..obs.trace import monotonic as obs_monotonic, span as obs_span
-from .engines import EngineSpec, register_engine
-from .packed import _forest_fingerprint
+from ..core.numerics import NumericsError, strict_enabled
+from ..obs.metrics import inc as metric_inc
+from .engines import EncodedForest, EngineSpec, register_engine
 from .tree import LEAF, Tree
 
-__all__ = [
-    "MAX_LEAF_WORDS",
-    "MAX_TABLE_BYTES",
-    "BitvectorForest",
-    "bitvector_for",
-    "dispatch_predict_raw",
-    "dispatch_staged_predict_raw",
-    "invalidate_bitvector",
-]
-
-# Per-model bitvector caches (model.__dict__["_bitvector_state"]) are
-# guarded by _pack_lock; the module holds no other mutable state.
-_pack_lock = threading.Lock()
-
-#: Entries kept in each BitvectorForest's prediction LRU cache.
-PREDICTION_CACHE_SIZE = 4
+__all__ = ["MAX_LEAF_WORDS", "MAX_TABLE_BYTES", "BitvectorForest"]
 
 #: Trees wider than ``64 * MAX_LEAF_WORDS`` leaves decline packing.
 MAX_LEAF_WORDS = 8
@@ -88,10 +67,6 @@ MAX_LEAF_WORDS = 8
 #: Prefix-mask tables above this many bytes decline packing (the packed
 #: engine's O(nodes) buffers then take over).
 MAX_TABLE_BYTES = 256 * 1024 * 1024
-
-#: Fall back to the loop for staged prediction above this many
-#: (tree, row) leaf values (the staged path materializes all of them).
-_STAGED_MAX_ELEMENTS = 25_000_000
 
 
 def _leaf_order(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,7 +108,7 @@ def _range_mask_words(lb: int, le: int, n_words: int, width: int) -> list[int]:
     return [(mask >> (width * w)) & word_max for w in range(n_words)]
 
 
-class BitvectorForest:
+class BitvectorForest(EncodedForest):
     """One forest encoded as per-feature threshold-sorted prefix masks.
 
     Build with :meth:`pack`; it returns ``None`` when the forest cannot
@@ -142,22 +117,11 @@ class BitvectorForest:
     back to the packed engine.
     """
 
-    def __init__(self):
-        self.n_trees = 0
-        self.n_features = 0
-        self.init_score = 0.0
-        self.fingerprint = 0
-        self.n_words = 1
-        self.word_bits = 64
-        self.feat_thr: list[np.ndarray] = []
-        self.tables: list[np.ndarray | None] = []
-        self.table_bytes = 0
-        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._cache_lock = threading.Lock()
+    name = "bitvector"
+    _BUFFERS = ("leaf_values", "leaf_offsets", "init_vec")
+    _RAGGED = ("feat_thr", "tables")
+    _SCALARS = ("n_words", "word_bits")
 
-    # ------------------------------------------------------------------
-    # packing
-    # ------------------------------------------------------------------
     @classmethod
     def pack(
         cls, trees: list[Tree], init_score: float, n_features: int
@@ -174,11 +138,7 @@ class BitvectorForest:
         if max_leaves > 64 * MAX_LEAF_WORDS:
             return None
 
-        self = cls()
-        self.n_trees = len(trees)
-        self.n_features = int(n_features)
-        self.init_score = float(init_score)
-        self.fingerprint = _forest_fingerprint(trees, init_score)
+        self = cls(trees, init_score, n_features)
         if max_leaves <= 32:
             self.word_bits, self.n_words, dtype = 32, 1, np.uint32
         elif max_leaves <= 64:
@@ -196,7 +156,6 @@ class BitvectorForest:
         leaf_parts: list[np.ndarray] = []
         leaf_off = np.empty(self.n_trees, np.int64)
         offset = 0
-        n_conditions = 0
         for ti, tree in enumerate(trees):
             leaf_nodes, lo, hi = _leaf_order(tree)
             leaf_parts.append(tree.value[leaf_nodes])
@@ -215,7 +174,6 @@ class BitvectorForest:
                 per_feat_mask[f].append(
                     _range_mask_words(int(lo[lchild]), int(hi[lchild]), n_words, width)
                 )
-                n_conditions += 1
         self.leaf_values = np.concatenate(leaf_parts)
         self.leaf_offsets = leaf_off
         self.init_vec = init_words
@@ -229,7 +187,6 @@ class BitvectorForest:
         )
         if table_bytes > MAX_TABLE_BYTES:
             return None
-        self.table_bytes = int(table_bytes)
 
         # Per-feature prefix-mask tables: scatter each condition's mask at
         # its sorted position, then one bitwise-AND prefix scan.
@@ -255,7 +212,6 @@ class BitvectorForest:
             if n_words == 1:
                 table = np.ascontiguousarray(table[:, :, 0])
             self.tables.append(table)
-        self.n_conditions = int(n_conditions)
         return self
 
     # ------------------------------------------------------------------
@@ -283,16 +239,8 @@ class BitvectorForest:
         metric_inc("bitvector.searchsorted", searched)
         return pos
 
-    def _eval_block(
-        self,
-        pos: np.ndarray,
-        lo: int,
-        hi: int,
-        out: np.ndarray | None,
-        out_values: np.ndarray | None,
-        chunk: int,
-    ) -> None:
-        """Evaluate rows ``lo:hi``; write reduced scores and/or leaf values."""
+    def _eval_block(self, pos: np.ndarray, chunk: int):
+        """Evaluate each ``chunk``-row block; yield its leaf values."""
         T, W = self.n_trees, self.n_words
         dtype = self.init_vec.dtype
         features = [f for f in range(self.n_features) if self.tables[f] is not None]
@@ -308,12 +256,12 @@ class BitvectorForest:
         expo = np.empty((chunk, T), np.int32)
         flat = np.empty((chunk, T), np.int64)
         vals = np.empty((chunk, T))
-        red = np.empty((chunk, T + 1))
         init_row = self.init_vec[:, 0] if single else self.init_vec
         leaf_off = self.leaf_offsets
         pv = self.leaf_values
-        for clo in range(lo, hi, chunk):
-            chi = min(clo + chunk, hi)
+        N = pos.shape[0]
+        for clo in range(0, N, chunk):
+            chi = min(clo + chunk, N)
             R = chi - clo
             a = acc[:R]
             a[:] = init_row
@@ -356,14 +304,7 @@ class BitvectorForest:
                 np.add(fl, base, out=fl)
             v = vals[:R]
             np.take(pv, fl, out=v)
-            if out_values is not None:
-                out_values[:, clo:chi] = v.T
-            if out is not None:
-                r = red[:R]
-                r[:, 0] = self.init_score
-                r[:, 1:] = v
-                np.cumsum(r, axis=1, out=r)
-                out[clo:chi] = r[:, -1]
+            yield v.T
 
     def _auto_chunk(self) -> int:
         """Largest power-of-two chunk keeping ~256k (row, tree, word) lanes.
@@ -378,240 +319,7 @@ class BitvectorForest:
             chunk *= 2
         return chunk
 
-    def _evaluate(
-        self,
-        X: np.ndarray,
-        out_values: np.ndarray | None = None,
-        chunk: int | None = None,
-        n_jobs: int = 1,
-    ) -> np.ndarray | None:
-        if chunk is None:
-            chunk = self._auto_chunk()
-        if chunk < 1 or chunk & (chunk - 1):
-            raise ValueError(  # repro: allow(raise-outside-taxonomy) harness misuse, not a pipeline failure
-                "chunk must be a positive power of two"
-            )
-        pos = self.digitize(X)
-        N = pos.shape[0]
-        out = None if out_values is not None else np.empty(N)
-        n_blocks = min(max(int(n_jobs), 1), max(1, -(-N // chunk)))
-        if n_blocks <= 1 or N == 0:
-            if N:
-                self._eval_block(pos, 0, N, out, out_values, chunk)
-        else:
-            # Chunk-aligned row blocks; rows never interact, so the result
-            # is identical to the single-threaded pass.
-            chunks_total = -(-N // chunk)
-            per_block = -(-chunks_total // n_blocks) * chunk
-            bounds = [(b, min(b + per_block, N)) for b in range(0, N, per_block)]
-            with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-                futures = [
-                    pool.submit(
-                        self._eval_block, pos, b_lo, b_hi, out, out_values, chunk
-                    )
-                    for b_lo, b_hi in bounds
-                ]
-                for future in futures:
-                    future.result()
-        if out is not None:
-            assert_all_finite(out, "bitvector predict reduction")
-        if out_values is not None:
-            assert_all_finite(out_values, "bitvector leaf-value matrix")
-        return out
-
-    def predict_raw(
-        self,
-        X: np.ndarray,
-        chunk: int | None = None,
-        n_jobs: int = 1,
-        use_cache: bool = True,
-    ) -> np.ndarray:
-        """``init + sum of trees`` for every row, bitwise equal to the loop."""
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        metric_inc("predict.rows", X.shape[0])
-        key = None
-        if use_cache and PREDICTION_CACHE_SIZE > 0:
-            key = (X.shape, hashlib.blake2b(X, digest_size=16).digest())
-            with self._cache_lock:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self._cache.move_to_end(key)
-                    hit = hit.copy()
-            if hit is not None:
-                metric_inc("predict.cache_hits")
-                return hit
-            metric_inc("predict.cache_misses")
-        with obs_span(
-            "bitvector.predict", rows=int(X.shape[0]), trees=int(self.n_trees)
-        ):
-            metric_inc("bitvector.mask_words", self.n_words)
-            out = self._evaluate(X, chunk=chunk, n_jobs=n_jobs)
-        if key is not None:
-            with self._cache_lock:
-                self._cache[key] = out.copy()
-                while len(self._cache) > PREDICTION_CACHE_SIZE:
-                    self._cache.popitem(last=False)
-        return out
-
-    def leaf_value_matrix(self, X: np.ndarray, n_jobs: int = 1) -> np.ndarray:
-        """Per-tree leaf values, shape ``(n_trees, n_rows)`` (staged helper)."""
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        values = np.empty((self.n_trees, X.shape[0]))
-        self._evaluate(X, out_values=values, n_jobs=n_jobs)
-        return values
-
-    def staged_predict_raw(self, X: np.ndarray):
-        """Yield the raw score after each tree, bitwise equal to the loop."""
-        values = self.leaf_value_matrix(X)
-        raw = np.full(values.shape[1], self.init_score)
-        for t in range(self.n_trees):
-            raw = raw + values[t]
-            yield raw.copy()
-
-    # ------------------------------------------------------------------
-    # flat-buffer export (shared-memory serving fleet)
-    # ------------------------------------------------------------------
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The bitvector forest as flat buffers plus scalar metadata.
-
-        Same contract as :meth:`repro.forest.packed.PackedForest.
-        export_state`: every buffer evaluation reads is returned under a
-        stable key (the ragged per-feature threshold lists and prefix
-        tables use ``"feat_thr:<f>"`` / ``"table:<f>"`` keys; features
-        without conditions simply have no entry), and
-        :meth:`from_state` rebuilds an equivalent engine from views over
-        those buffers — typically shared-memory views placed by
-        :mod:`repro.serve.shm`.
-        """
-        arrays: dict[str, np.ndarray] = {
-            "leaf_values": self.leaf_values,
-            "leaf_offsets": self.leaf_offsets,
-            "init_vec": self.init_vec,
-        }
-        for f in range(self.n_features):
-            if self.tables[f] is not None:
-                arrays[f"feat_thr:{f}"] = self.feat_thr[f]
-                arrays[f"table:{f}"] = self.tables[f]
-        meta = {
-            "n_trees": self.n_trees,
-            "n_features": self.n_features,
-            "init_score": self.init_score,
-            "fingerprint": self.fingerprint,
-            "n_words": self.n_words,
-            "word_bits": self.word_bits,
-            "table_bytes": self.table_bytes,
-            "n_conditions": self.n_conditions,
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_state(
-        cls, arrays: dict[str, np.ndarray], meta: dict
-    ) -> "BitvectorForest":
-        """Rebuild a :class:`BitvectorForest` from :meth:`export_state` output.
-
-        The arrays are adopted as-is (typically read-only shared-memory
-        views); evaluation never writes into them, so the rebuilt engine
-        is bitwise identical to the exporting one.
-        """
-        self = cls()
-        self.n_trees = int(meta["n_trees"])
-        self.n_features = int(meta["n_features"])
-        self.init_score = float(meta["init_score"])
-        self.fingerprint = int(meta["fingerprint"])
-        self.n_words = int(meta["n_words"])
-        self.word_bits = int(meta["word_bits"])
-        self.table_bytes = int(meta["table_bytes"])
-        self.n_conditions = int(meta["n_conditions"])
-        self.leaf_values = arrays["leaf_values"]
-        self.leaf_offsets = arrays["leaf_offsets"]
-        self.init_vec = arrays["init_vec"]
-        self.feat_thr = []
-        self.tables = []
-        for f in range(self.n_features):
-            table = arrays.get(f"table:{f}")
-            if table is None:
-                self.feat_thr.append(np.empty(0, dtype=np.float64))
-                self.tables.append(None)
-            else:
-                self.feat_thr.append(arrays[f"feat_thr:{f}"])
-                self.tables.append(table)
-        return self
-
-    def clear_cache(self) -> None:
-        """Drop all cached prediction results."""
-        with self._cache_lock:
-            self._cache.clear()
-
-
-# ----------------------------------------------------------------------
-# model integration: cached packing, invalidation, engine registration
-# ----------------------------------------------------------------------
-def invalidate_bitvector(model) -> None:
-    """Drop a model's cached :class:`BitvectorForest` (after mutating it)."""
-    with _pack_lock:
-        model.__dict__.pop("_bitvector_state", None)
-
-
-def bitvector_for(model) -> BitvectorForest | None:
-    """The up-to-date :class:`BitvectorForest` of a fitted forest model.
-
-    Re-encodes when the model's structural fingerprint changed since the
-    last call; returns ``None`` when the forest cannot be encoded.
-    """
-    trees = getattr(model, "trees_", None)
-    if not trees:
-        return None
-    fingerprint = _forest_fingerprint(trees, model.init_score_)
-    with _pack_lock:
-        state = model.__dict__.get("_bitvector_state")
-        if state is not None and state[0] == fingerprint:
-            return state[1]
-    # Pack outside the lock (it is the expensive part); a concurrent
-    # packer may race us, but both produce equivalent objects and the
-    # last write simply wins.
-    registry = get_metrics()
-    t0 = obs_monotonic() if registry is not None else 0.0
-    with obs_span("bitvector.pack", n_trees=len(trees)):
-        packed = BitvectorForest.pack(
-            trees, model.init_score_, int(model.n_features_)
-        )
-    if registry is not None:
-        metric_inc("pack.count")
-        metric_observe("pack.seconds", obs_monotonic() - t0)
-        if packed is not None:
-            metric_observe("bitvector.table_bytes", packed.table_bytes)
-        else:
-            metric_inc("bitvector.declined")
-    with _pack_lock:
-        model.__dict__["_bitvector_state"] = (fingerprint, packed)
-    return packed
-
-
-def dispatch_predict_raw(model, X: np.ndarray) -> np.ndarray | None:
-    """Bitvector-engine ``predict_raw``, or ``None`` to fall down the ladder."""
-    encoded = bitvector_for(model)
-    if encoded is None:
-        return None
-    return encoded.predict_raw(X)
-
-
-def dispatch_staged_predict_raw(model, X: np.ndarray):
-    """Bitvector-engine staged generator, or ``None`` to fall down the ladder."""
-    encoded = bitvector_for(model)
-    if encoded is None:
-        return None
-    if encoded.n_trees * np.atleast_2d(X).shape[0] > _STAGED_MAX_ELEMENTS:
-        return None
-    return encoded.staged_predict_raw(X)
-
 
 register_engine(
-    EngineSpec(
-        name="bitvector",
-        predict=dispatch_predict_raw,
-        staged=dispatch_staged_predict_raw,
-        invalidate=invalidate_bitvector,
-        fallback="packed",
-    )
+    EngineSpec(name="bitvector", pack=BitvectorForest.pack, fallback="packed")
 )

@@ -17,8 +17,11 @@ import numpy as np
 from .binning import BinMapper
 from .grower import TreeGrowerParams, grow_tree
 from .losses import get_loss
-from .engines import dispatch_predict_raw, dispatch_staged_predict_raw
-from .packed import invalidate_packed
+from .engines import (
+    dispatch_predict_raw,
+    dispatch_staged_predict_raw,
+    invalidate_encodings,
+)
 from .tree import Tree, accumulate_importance
 from .._rng import as_generator
 
@@ -155,7 +158,7 @@ class _BaseGradientBoosting:
 
         if self.early_stopping_rounds is not None and self.best_iteration_:
             del self.trees_[self.best_iteration_ :]
-        invalidate_packed(self)
+        invalidate_encodings(self)
         return self
 
     @staticmethod

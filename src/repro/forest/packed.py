@@ -28,111 +28,28 @@ record in an ``int32``, halving gather traffic.
 Leaves carry an all-ones sentinel code, which makes the comparison always
 true and their stored child pointer points back at themselves, so finished
 pairs self-loop harmlessly until the periodic compaction sweep retires
-them (every ``cshift`` levels the active set is filtered through double
+them (every ``_CSHIFT`` levels the active set is filtered through double
 buffers, so deep leaf-wise trees do not drag every pair to the maximum
 depth).
 
-The reduction replays the exact sequential accumulation order of the
-per-tree loop — ``((init + v_0) + v_1) + ...`` — via a cumulative sum over
-the per-tree leaf values, so packed and loop outputs are bit-for-bit
-equal, independent of chunking or threading (rows never interact).
-
-Engine selection is a process-wide knob
-(:func:`repro.forest.engines.set_prediction_engine`, re-exported here);
-``"packed"`` registers in the central engine registry as the fallback of
-the default ``"bitvector"`` engine, and ``"loop"`` restores the
-historical per-tree path.  Models keep a cached :class:`PackedForest`
-keyed by a structural fingerprint of their trees, so mutating a fitted
-model (early stopping truncation, manual editing) transparently triggers
-a re-pack.
+The reduction (shared by every engine, see
+:class:`repro.forest.engines.EncodedForest`) replays the exact sequential
+accumulation order of the per-tree loop, so packed and loop outputs are
+bit-for-bit equal.  ``"packed"`` registers in the engine registry as the
+fallback of the default ``"bitvector"`` engine.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-import zlib
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from ..core.numerics import assert_all_finite
-from ..obs.metrics import get_metrics, inc as metric_inc, observe as metric_observe
-from ..obs.trace import monotonic as obs_monotonic, span as obs_span
-from .engines import (
-    EngineSpec,
-    get_prediction_engine,
-    invalidate_model_caches,
-    register_engine,
-    set_prediction_engine,
-)
+from .engines import EncodedForest, EngineSpec, register_engine
 from .tree import LEAF, Tree
 
-__all__ = [
-    "PackedForest",
-    "forest_fingerprint",
-    "get_default_n_jobs",
-    "get_prediction_engine",
-    "invalidate_packed",
-    "packed_for",
-    "set_default_n_jobs",
-    "set_prediction_engine",
-]
+__all__ = ["PackedForest"]
 
-# Module-state discipline (see repro.devtools.registry): writes to the
-# n_jobs knob go through _state_lock; reads are single atomic loads under
-# the GIL and stay lock-free on the hot path.  Per-model pack caches are
-# guarded by _pack_lock.  The engine knob itself lives in
-# repro.forest.engines.
-_state_lock = threading.Lock()
-_pack_lock = threading.Lock()
-_default_n_jobs = 1
-
-#: Entries kept in each PackedForest's prediction LRU cache.
-PREDICTION_CACHE_SIZE = 4
-
-#: Fall back to the loop for staged prediction above this many
-#: (tree, row) leaf values (the staged path materializes all of them).
-_STAGED_MAX_ELEMENTS = 25_000_000
-
-
-def set_default_n_jobs(n_jobs: int) -> None:
-    """Default thread count for packed evaluation (1 = single-threaded)."""
-    global _default_n_jobs
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    with _state_lock:
-        _default_n_jobs = int(n_jobs)
-
-
-def get_default_n_jobs() -> int:
-    """The current default thread count for packed evaluation."""
-    return _default_n_jobs
-
-
-def _forest_fingerprint(trees: list[Tree], init_score: float) -> int:
-    """Cheap structural checksum covering everything prediction depends on."""
-    h = zlib.crc32(np.float64(init_score).tobytes())
-    h = zlib.crc32(np.int64(len(trees)).tobytes(), h)
-    for tree in trees:
-        for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
-            h = zlib.crc32(np.ascontiguousarray(arr), h)
-    return h
-
-
-def forest_fingerprint(model) -> int:
-    """The packed-engine structural fingerprint of a fitted forest.
-
-    Covers everything prediction depends on (tree structure, thresholds,
-    leaf values, init score), so two forests with equal fingerprints are
-    interchangeable for serving.  The model registry and surrogate cache
-    in :mod:`repro.serve` key on this value.
-    """
-    trees = getattr(model, "trees_", None)
-    if not trees:
-        raise ValueError("model is not fitted")
-    return _forest_fingerprint(trees, model.init_score_)
+#: Compact the active (row, tree) set every this many descent levels.
+_CSHIFT = 5
 
 
 def _bfs_order(tree: Tree) -> np.ndarray:
@@ -152,7 +69,7 @@ def _bfs_order(tree: Tree) -> np.ndarray:
     return np.concatenate(levels)
 
 
-class PackedForest:
+class PackedForest(EncodedForest):
     """All trees of one forest packed into flat buffers for batched descent.
 
     Build with :meth:`pack`; it returns ``None`` when the forest cannot be
@@ -160,18 +77,11 @@ class PackedForest:
     which case callers fall back to the per-tree loop.
     """
 
-    def __init__(self):
-        self.n_trees = 0
-        self.n_features = 0
-        self.init_score = 0.0
-        self.fingerprint = 0
-        self.feat_thr: list[np.ndarray] = []
-        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._cache_lock = threading.Lock()
+    name = "packed"
+    _BUFFERS = ("records", "leaf_values", "roots", "single_leaf", "active_trees")
+    _RAGGED = ("feat_thr",)
+    _SCALARS = ("code_bits", "f_bits")
 
-    # ------------------------------------------------------------------
-    # packing
-    # ------------------------------------------------------------------
     @classmethod
     def pack(
         cls, trees: list[Tree], init_score: float, n_features: int
@@ -184,11 +94,7 @@ class PackedForest:
             if internal.any() and not np.all(np.isfinite(tree.threshold[internal])):
                 return None
 
-        self = cls()
-        self.n_trees = len(trees)
-        self.n_features = int(n_features)
-        self.init_score = float(init_score)
-        self.fingerprint = _forest_fingerprint(trees, init_score)
+        self = cls(trees, init_score, n_features)
 
         # Per-feature codebook: every distinct threshold in the forest.
         per_feature: list[list[np.ndarray]] = [[] for _ in range(n_features)]
@@ -205,18 +111,15 @@ class PackedForest:
         n_codes = max((len(v) for v in self.feat_thr), default=0)
 
         # Adaptive bit layout; the all-ones code is the leaf sentinel.
-        self._code_bits = max(int(n_codes + 1).bit_length(), 1)
-        self._f_bits = max(int(max(n_features - 1, 1)).bit_length(), 1)
+        self.code_bits = max(int(n_codes + 1).bit_length(), 1)
+        self.f_bits = max(int(max(n_features - 1, 1)).bit_length(), 1)
         total_nodes = sum(t.n_nodes for t in trees)
         l1_bits = int(total_nodes + 1).bit_length()
-        if self._code_bits + self._f_bits + l1_bits > 63:
+        if self.code_bits + self.f_bits + l1_bits > 63:
             return None
-        self._leaf_code = (1 << self._code_bits) - 1
-        self._f_shift = self._code_bits
-        self._l1_shift = self._code_bits + self._f_bits
-        use32 = (self._code_bits + self._f_bits + l1_bits) <= 31
-        self._rdtype = np.int32 if use32 else np.int64
-        self._idtype = np.int32 if use32 else np.int64
+        leaf_code = (1 << self.code_bits) - 1
+        f_shift, l1_shift = self.code_bits, self.code_bits + self.f_bits
+        use32 = (self.code_bits + self.f_bits + l1_bits) <= 31
 
         rec = np.empty(total_nodes, np.int64)
         self.leaf_values = np.empty(total_nodes, np.float64)
@@ -238,7 +141,7 @@ class PackedForest:
             l1m1 = np.where(
                 is_leaf, np.arange(n), new_id[np.where(is_leaf, 0, tree.left[bfs])]
             ).astype(np.int64) + offset
-            rec[offset : offset + n] = (l1m1 << self._l1_shift) | (fv << self._f_shift)
+            rec[offset : offset + n] = (l1m1 << l1_shift) | (fv << f_shift)
             self.leaf_values[offset : offset + n] = tree.value[bfs]
             self.roots[ti] = offset
             self.single_leaf[ti] = bool(is_leaf[0])
@@ -251,14 +154,14 @@ class PackedForest:
         all_f = np.concatenate(parts_f)
         all_thr = np.concatenate(parts_thr)
         all_leaf = np.concatenate(parts_leaf)
-        code = np.full(total_nodes, self._leaf_code, np.int64)
+        code = np.full(total_nodes, leaf_code, np.int64)
         internal_idx = np.flatnonzero(~all_leaf)
         f_internal = all_f[internal_idx]
         for f in np.unique(f_internal):
             sel = internal_idx[f_internal == f]
             code[sel] = np.searchsorted(self.feat_thr[f], all_thr[sel])
         rec |= code
-        self.records = rec.astype(self._rdtype)
+        self.records = rec.astype(np.int32 if use32 else np.int64)
         self.active_trees = np.flatnonzero(~self.single_leaf)
         return self
 
@@ -280,28 +183,19 @@ class PackedForest:
                 codes[:, f] = 0
         return codes
 
-    def _eval_block(
-        self,
-        codes: np.ndarray,
-        lo: int,
-        hi: int,
-        out: np.ndarray | None,
-        out_values: np.ndarray | None,
-        chunk: int,
-        cshift: int,
-    ) -> None:
-        """Descend rows ``lo:hi``; write reduced scores and/or leaf values."""
+    def _eval_block(self, codes: np.ndarray, chunk: int):
+        """Descend each ``chunk``-row block; yield its leaf values."""
         d = self.n_features
         rec, pv, roots = self.records, self.leaf_values, self.roots
         active_trees, n_trees = self.active_trees, self.n_trees
         nt_act = active_trees.size
-        leaf_code = self._leaf_code
-        f_shift, l1_shift = self._f_shift, self._l1_shift
-        idt = self._idtype
-        f_base_mask = (1 << self._f_bits) - 1
+        leaf_code = (1 << self.code_bits) - 1
+        f_shift, l1_shift = self.code_bits, self.code_bits + self.f_bits
+        idt = rec.dtype
+        f_base_mask = (1 << self.f_bits) - 1
         A0 = nt_act * chunk
-        cA = np.empty(A0, self._rdtype)
-        cB = np.empty(A0, self._rdtype)
+        cA = np.empty(A0, idt)
+        cB = np.empty(A0, idt)
         pairA = np.empty(A0, idt)
         pairB = np.empty(A0, idt)
         rowdA = np.empty(A0, idt)
@@ -312,7 +206,6 @@ class PackedForest:
         xc = np.empty(A0, np.int32)
         leaf_buf = np.empty(A0, np.bool_)
         vals = np.empty((n_trees, chunk))
-        acc = np.empty((n_trees + 1, chunk))
         pair0 = (
             np.repeat(active_trees, chunk) * chunk
             + np.tile(np.arange(chunk, dtype=np.int64), nt_act)
@@ -323,8 +216,9 @@ class PackedForest:
             vals[ti, :] = pv[roots[ti]]
         row_mask = chunk - 1
         vflat = vals.reshape(-1)
-        for clo in range(lo, hi, chunk):
-            chi = min(clo + chunk, hi)
+        N = codes.shape[0]
+        for clo in range(0, N, chunk):
+            chi = min(clo + chunk, N)
             R = chi - clo
             Cf = codes[clo:chi].reshape(-1)
             if R == chunk:
@@ -345,7 +239,7 @@ class PackedForest:
                 c = cA[:A]
                 np.take(rec, node[:A], out=c)
                 level += 1
-                if level % cshift == 0:
+                if level % _CSHIFT == 0:
                     # Retire finished pairs and compact the active set.
                     finished = leaf_buf[:A]
                     cl = scr[:A]
@@ -382,14 +276,7 @@ class PackedForest:
                 np.right_shift(s, 31, out=s)
                 np.right_shift(c, l1_shift, out=c)
                 np.subtract(c, s, out=node[:A])
-            if out_values is not None:
-                out_values[:, clo:chi] = vals[:, :R]
-            if out is not None:
-                a = acc[:, :R]
-                a[0] = self.init_score
-                a[1:] = vals[:, :R]
-                np.cumsum(a, axis=0, out=a)
-                out[clo:chi] = a[-1]
+            yield vals[:, :R]
 
     def _auto_chunk(self) -> int:
         """Largest power-of-two chunk keeping ~32k active (row, tree) pairs.
@@ -404,258 +291,5 @@ class PackedForest:
             chunk *= 2
         return chunk
 
-    def _evaluate(
-        self,
-        X: np.ndarray,
-        out_values: np.ndarray | None = None,
-        chunk: int | None = None,
-        cshift: int = 5,
-        n_jobs: int | None = None,
-    ) -> np.ndarray:
-        if chunk is None:
-            chunk = self._auto_chunk()
-        if chunk < 1 or chunk & (chunk - 1):
-            raise ValueError("chunk must be a positive power of two")
-        if cshift < 1:
-            raise ValueError("cshift must be >= 1")
-        codes = self.digitize(X)
-        N = codes.shape[0]
-        out = None if out_values is not None else np.empty(N)
-        n_jobs = _default_n_jobs if n_jobs is None else int(n_jobs)
-        n_blocks = min(max(n_jobs, 1), max(1, -(-N // chunk)))
-        if n_blocks <= 1 or N == 0:
-            if N:
-                self._eval_block(codes, 0, N, out, out_values, chunk, cshift)
-            if out is not None:
-                assert_all_finite(out, "packed predict reduction")
-            if out_values is not None:
-                assert_all_finite(out_values, "packed leaf-value matrix")
-            return out
-        # Split rows into chunk-aligned blocks; rows never interact, so the
-        # result is identical to the single-threaded pass.
-        chunks_total = -(-N // chunk)
-        per_block = -(-chunks_total // n_blocks) * chunk
-        bounds = [
-            (lo, min(lo + per_block, N)) for lo in range(0, N, per_block)
-        ]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [
-                pool.submit(
-                    self._eval_block, codes, lo, hi, out, out_values, chunk, cshift
-                )
-                for lo, hi in bounds
-            ]
-            for future in futures:
-                future.result()
-        if out is not None:
-            assert_all_finite(out, "packed predict reduction")
-        if out_values is not None:
-            assert_all_finite(out_values, "packed leaf-value matrix")
-        return out
 
-    def predict_raw(
-        self,
-        X: np.ndarray,
-        chunk: int | None = None,
-        cshift: int = 5,
-        n_jobs: int | None = None,
-        use_cache: bool = True,
-    ) -> np.ndarray:
-        """``init + sum of trees`` for every row, bitwise equal to the loop."""
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        metric_inc("predict.rows", X.shape[0])
-        key = None
-        if use_cache and PREDICTION_CACHE_SIZE > 0:
-            key = (X.shape, hashlib.blake2b(X, digest_size=16).digest())
-            with self._cache_lock:
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self._cache.move_to_end(key)
-                    hit = hit.copy()
-            if hit is not None:
-                metric_inc("predict.cache_hits")
-                return hit
-            metric_inc("predict.cache_misses")
-        with obs_span(
-            "packed.predict", rows=int(X.shape[0]), trees=int(self.n_trees)
-        ):
-            out = self._evaluate(X, chunk=chunk, cshift=cshift, n_jobs=n_jobs)
-        if key is not None:
-            with self._cache_lock:
-                self._cache[key] = out.copy()
-                while len(self._cache) > PREDICTION_CACHE_SIZE:
-                    self._cache.popitem(last=False)
-        return out
-
-    def leaf_value_matrix(self, X: np.ndarray, n_jobs: int | None = None) -> np.ndarray:
-        """Per-tree leaf values, shape ``(n_trees, n_rows)`` (staged helper)."""
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
-        values = np.empty((self.n_trees, X.shape[0]))
-        self._evaluate(X, out_values=values, n_jobs=n_jobs)
-        return values
-
-    def staged_predict_raw(self, X: np.ndarray):
-        """Yield the raw score after each tree, bitwise equal to the loop."""
-        values = self.leaf_value_matrix(X)
-        raw = np.full(values.shape[1], self.init_score)
-        for t in range(self.n_trees):
-            raw = raw + values[t]
-            yield raw.copy()
-
-    def clear_cache(self) -> None:
-        """Drop all cached prediction results."""
-        with self._cache_lock:
-            self._cache.clear()
-
-    # ------------------------------------------------------------------
-    # flat-buffer export (shared-memory serving fleet)
-    # ------------------------------------------------------------------
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        """The packed forest as flat buffers plus scalar metadata.
-
-        Everything evaluation touches is a contiguous numpy array, so a
-        packed forest exports losslessly as ``(arrays, meta)``:
-        ``arrays`` maps buffer keys (the ragged per-feature codebook uses
-        ``"feat_thr:<f>"`` keys) to arrays, ``meta`` carries the scalars.
-        :meth:`from_state` rebuilds an equivalent engine from views over
-        those buffers — the contract :mod:`repro.serve.shm` uses to place
-        one copy of a forest in ``multiprocessing.shared_memory`` and
-        attach it zero-copy from every fleet worker.
-        """
-        arrays: dict[str, np.ndarray] = {
-            "records": self.records,
-            "leaf_values": self.leaf_values,
-            "roots": self.roots,
-            "single_leaf": self.single_leaf,
-            "active_trees": self.active_trees,
-        }
-        for f, thr in enumerate(self.feat_thr):
-            arrays[f"feat_thr:{f}"] = thr
-        meta = {
-            "n_trees": self.n_trees,
-            "n_features": self.n_features,
-            "init_score": self.init_score,
-            "fingerprint": self.fingerprint,
-            "code_bits": self._code_bits,
-            "f_bits": self._f_bits,
-            "leaf_code": self._leaf_code,
-            "f_shift": self._f_shift,
-            "l1_shift": self._l1_shift,
-            "rdtype": np.dtype(self._rdtype).str,
-            "idtype": np.dtype(self._idtype).str,
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_state(
-        cls, arrays: dict[str, np.ndarray], meta: dict
-    ) -> "PackedForest":
-        """Rebuild a :class:`PackedForest` from :meth:`export_state` output.
-
-        The arrays are adopted as-is (typically read-only views over a
-        shared-memory segment); evaluation never writes into them, so the
-        rebuilt engine is bitwise identical to the exporting one.
-        """
-        self = cls()
-        self.n_trees = int(meta["n_trees"])
-        self.n_features = int(meta["n_features"])
-        self.init_score = float(meta["init_score"])
-        self.fingerprint = int(meta["fingerprint"])
-        self._code_bits = int(meta["code_bits"])
-        self._f_bits = int(meta["f_bits"])
-        self._leaf_code = int(meta["leaf_code"])
-        self._f_shift = int(meta["f_shift"])
-        self._l1_shift = int(meta["l1_shift"])
-        self._rdtype = np.dtype(meta["rdtype"]).type
-        self._idtype = np.dtype(meta["idtype"]).type
-        self.records = arrays["records"]
-        self.leaf_values = arrays["leaf_values"]
-        self.roots = arrays["roots"]
-        self.single_leaf = arrays["single_leaf"]
-        self.active_trees = arrays["active_trees"]
-        self.feat_thr = [
-            arrays[f"feat_thr:{f}"] for f in range(self.n_features)
-        ]
-        return self
-
-
-# ----------------------------------------------------------------------
-# model integration: cached packing, invalidation, engine dispatch
-# ----------------------------------------------------------------------
-def _drop_packed_state(model) -> None:
-    """This engine's invalidation hook: pop the cached pack only."""
-    with _pack_lock:
-        model.__dict__.pop("_packed_state", None)
-
-
-def invalidate_packed(model) -> None:
-    """Drop every engine's cached encoding of ``model`` (call after mutating it).
-
-    Mutations are also caught automatically by the structural fingerprint
-    check in :func:`packed_for`; this hook just makes the common sites
-    (fit, early-stopping truncation) explicit and cheap.  Despite the
-    historical name it clears *all* registered engines' caches through
-    :func:`repro.forest.engines.invalidate_model_caches`, so a mutated
-    model never serves stale predictions from any engine.
-    """
-    invalidate_model_caches(model)
-
-
-def packed_for(model) -> PackedForest | None:
-    """The up-to-date :class:`PackedForest` of a fitted forest-protocol model.
-
-    Re-packs when the model's structural fingerprint changed since the
-    last call; returns ``None`` when the forest cannot be packed.
-    """
-    trees = getattr(model, "trees_", None)
-    if not trees:
-        return None
-    fingerprint = _forest_fingerprint(trees, model.init_score_)
-    with _pack_lock:
-        state = model.__dict__.get("_packed_state")
-        if state is not None and state[0] == fingerprint:
-            return state[1]
-    # Pack outside the lock (it is the expensive part); a concurrent
-    # packer may race us, but both produce equivalent objects and the
-    # last write simply wins.
-    registry = get_metrics()
-    t0 = obs_monotonic() if registry is not None else 0.0
-    with obs_span("packed.pack", n_trees=len(trees)):
-        packed = PackedForest.pack(
-            trees, model.init_score_, int(model.n_features_)
-        )
-    if registry is not None:
-        metric_inc("pack.count")
-        metric_observe("pack.seconds", obs_monotonic() - t0)
-    with _pack_lock:
-        model.__dict__["_packed_state"] = (fingerprint, packed)
-    return packed
-
-
-def dispatch_predict_raw(model, X: np.ndarray) -> np.ndarray | None:
-    """Packed-engine ``predict_raw`` for ``model``, or ``None`` to fall back."""
-    packed = packed_for(model)
-    if packed is None:
-        return None
-    return packed.predict_raw(X)
-
-
-def dispatch_staged_predict_raw(model, X: np.ndarray):
-    """Packed-engine staged prediction generator, or ``None`` to fall back."""
-    packed = packed_for(model)
-    if packed is None:
-        return None
-    if packed.n_trees * np.atleast_2d(X).shape[0] > _STAGED_MAX_ELEMENTS:
-        return None
-    return packed.staged_predict_raw(X)
-
-
-register_engine(
-    EngineSpec(
-        name="packed",
-        predict=dispatch_predict_raw,
-        staged=dispatch_staged_predict_raw,
-        invalidate=_drop_packed_state,
-        fallback=None,
-    )
-)
+register_engine(EngineSpec(name="packed", pack=PackedForest.pack, fallback=None))

@@ -6,11 +6,9 @@ helpers :func:`inc`, :func:`set_gauge` and :func:`observe`, each of which
 is a single ``None``-check when no registry is installed.  Metric names
 are flat dotted strings following the site that owns them::
 
-    predict.rows            counter   rows evaluated by the packed engine
-    predict.cache_hits      counter   packed prediction LRU cache hits
-    predict.cache_misses    counter   packed prediction LRU cache misses
-    pack.count              counter   forests packed
-    pack.seconds            histogram pack times
+    predict.rows            counter   rows evaluated by the selected engine
+    pack.count              counter   forests encoded by the selected engine
+    pack.seconds            histogram encoding times
     sample.retries          counter   sample-stage retry attempts
     sample.domains_widened  counter   collapsed domains rescued by widening
     fit.pirls_iters         counter   PIRLS iterations across all fits

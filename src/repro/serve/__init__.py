@@ -5,9 +5,9 @@ subsystem that turns the repository's GEF pipeline into a long-running
 service:
 
 * :mod:`~repro.serve.registry` — hot-swappable model registry keyed by
-  the packed engine's structural fingerprint;
+  the forest's structural fingerprint;
 * :mod:`~repro.serve.batcher` — micro-batching executor that coalesces
-  concurrent ``/predict`` requests into single packed-engine calls,
+  concurrent ``/predict`` requests into single engine calls,
   bitwise identical to per-request evaluation;
 * :mod:`~repro.serve.surrogate` — singleflight LRU cache of fitted GAM
   surrogates, realizing GEF's fit-once/explain-forever asymmetry;

@@ -10,7 +10,7 @@ dispatch path.
 Endpoints::
 
     POST /predict       {"model": id?, "rows": [[...], ...]}
-                        -> forest scores via the micro-batched packed engine
+                        -> forest scores via the model's micro-batched engine
     POST /explain       {"model": id?, "instance": [...]?, "top": n?}
                         -> global surrogate summary (+ local break-down)
     POST /gam/predict   {"model": id?, "rows": [[...], ...]}
@@ -194,7 +194,7 @@ class ServeApp:
         )
         self.admission = AdmissionController(self.config.max_inflight)
         self._lock = threading.Lock()
-        self._batchers: dict[str, MicroBatcher] = {}
+        self._serving: dict[str, tuple[ModelEntry, MicroBatcher]] = {}
         self._started_s = monotonic()
         self._closed = False
         if self.config.slo is not None:
@@ -319,8 +319,10 @@ class ServeApp:
         """Wire a micro-batcher onto an already-registered entry.
 
         Split out of :meth:`add_model` so fleet workers can install
-        entries whose engines were attached from shared memory (see
-        :meth:`~repro.serve.registry.ModelRegistry.add_entry`).
+        entries whose encoding was attached from shared memory (see
+        :meth:`~repro.serve.registry.ModelRegistry.add_entry`).  The
+        entry and its batcher are published together (see
+        :meth:`serving`).
         """
         batcher = MicroBatcher(
             entry.predict_raw,
@@ -330,30 +332,35 @@ class ServeApp:
             name=entry.model_id,
         )
         with self._lock:
-            old = self._batchers.pop(entry.model_id, None)
-            self._batchers[entry.model_id] = batcher
+            old = self._serving.get(entry.model_id)
+            self._serving[entry.model_id] = (entry, batcher)
         if old is not None:
-            old.stop(drain=True)
+            old[1].stop(drain=True)
         return entry
 
     def remove_model(self, model_id: str) -> ModelEntry:
         """Unregister a model, draining its batcher first."""
         entry = self.registry.remove(model_id)
         with self._lock:
-            batcher = self._batchers.pop(model_id, None)
-        if batcher is not None:
-            batcher.stop(drain=True)
+            served = self._serving.pop(model_id, None)
+        if served is not None:
+            served[1].stop(drain=True)
         if self.drift is not None:
             self.drift.forget(model_id)
         return entry
 
-    def batcher_for(self, model_id: str) -> MicroBatcher:
-        """The micro-batcher serving ``model_id``."""
+    def serving(self, model_id: str) -> tuple[ModelEntry, MicroBatcher]:
+        """The entry ``model_id`` is served as, and the batcher computing it.
+
+        One lookup returns both, so a ``/predict`` always names the
+        forest that computed its scores — also while a hot swap has
+        published the new registry entry but not yet its batcher.
+        """
         with self._lock:
-            batcher = self._batchers.get(model_id)
-        if batcher is None:
+            served = self._serving.get(model_id)
+        if served is None:
             raise ModelNotFoundError(f"no model {model_id!r} is registered")
-        return batcher
+        return served
 
     def close(self, drain: bool = True) -> None:
         """Drain (or abort) every batcher and refuse further work."""
@@ -361,7 +368,7 @@ class ServeApp:
             if self._closed:
                 return
             self._closed = True
-            batchers = list(self._batchers.values())
+            batchers = [batcher for _, batcher in self._serving.values()]
         for batcher in batchers:
             batcher.stop(drain=drain)
         if drain:
@@ -541,12 +548,10 @@ class ServeApp:
 
     def _predict(self, body, deadline: Deadline) -> Response:
         payload = self._parse_json(body)
-        entry = self._entry_for(payload)
+        entry, batcher = self.serving(self._entry_for(payload).model_id)
         X = self._rows_for(payload, entry)
         deadline.check("serve.predict")
-        scores = self.batcher_for(entry.model_id).submit(
-            X, timeout_s=deadline.remaining()
-        )
+        scores = batcher.submit(X, timeout_s=deadline.remaining())
         if self.drift is not None:
             self.drift.observe(entry.model_id, X.tolist(), scores.tolist())
         return _json_response(

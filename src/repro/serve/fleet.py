@@ -428,7 +428,7 @@ class Fleet:
     # models
     # ------------------------------------------------------------------
     def add_model(self, entry: ModelEntry, replicas: int | None = None) -> list[str]:
-        """Export ``entry``'s engines to shared memory and assign workers.
+        """Export ``entry``'s encoding to shared memory and assign workers.
 
         Returns the assigned worker names.  Callable before ``start()``
         (bundles ride along on spawn) or after (live workers load and
@@ -440,11 +440,7 @@ class Fleet:
         k = int(replicas) if replicas is not None else self.config.replication
         k = max(1, min(k, len(self._names)))
         bundle, segments = export_model(
-            entry.model_id,
-            entry.fingerprint,
-            entry.n_features,
-            entry.packed,
-            entry.bitvector,
+            entry.model_id, entry.fingerprint, entry.n_features, entry.engine
         )
         assigned = self._ring.replicas(entry.fingerprint, k)
         with self._lock:
@@ -794,7 +790,7 @@ class FleetApp(ServeApp):
                 return response
             except (WorkerCrashError, FleetDegradedError, ModelNotFoundError):
                 # Zero-lost guarantee: the front end holds the same
-                # engines, so a request that outlived every replica is
+                # encoding, so a request that outlived every replica is
                 # served here instead of surfacing a 5xx.
                 metric_inc("fleet.local_fallback")
         else:

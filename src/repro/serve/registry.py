@@ -2,9 +2,11 @@
 
 Each registered model is loaded through :mod:`repro.forest.model_io`
 (or handed over as an already-fitted forest-protocol object), encoded
-once by both batch evaluation engines (bitvector and packed — serving
-latency must never pay a first-request pack), and fingerprinted with
-:func:`repro.forest.packed.forest_fingerprint`.  The fingerprint — not
+once by the engine the prediction-engine ladder selects at registration
+(serving latency must never pay a first-request pack; a later
+:func:`~repro.forest.engines.set_prediction_engine` applies from the
+next ``add`` or ``reload``), and fingerprinted with
+:func:`repro.forest.engines.forest_fingerprint`.  The fingerprint — not
 the id — is the *structural* identity: the surrogate cache keys fitted
 GAMs by it, so re-registering the same forest under another id (or
 hot-reloading an unchanged file) reuses the cached explanation.
@@ -25,10 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from ..core.errors import ModelNotFoundError, ServeError
-from ..forest.bitvector import BitvectorForest, bitvector_for
-from ..forest.engines import get_prediction_engine
+from ..forest.engines import EncodedForest, engine_for, forest_fingerprint
 from ..forest.model_io import load_forest
-from ..forest.packed import PackedForest, forest_fingerprint, packed_for
 from ..obs.trace import span as obs_span
 
 __all__ = ["ModelEntry", "ModelRegistry"]
@@ -36,32 +36,24 @@ __all__ = ["ModelEntry", "ModelRegistry"]
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: the forest, its encoded forms, its identity."""
+    """One registered model: the forest, its encoding, its identity.
+
+    ``engine`` is the encoding the engine ladder picked at registration,
+    or ``None`` when it landed on the loop.
+    """
 
     model_id: str
     model: object
     fingerprint: int
-    packed: PackedForest | None = None
-    bitvector: BitvectorForest | None = None
+    engine: EncodedForest | None = None
     path: Path | None = None
     n_features: int = field(default=0)
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Raw forest scores for ``X`` via the selected prediction engine.
-
-        Follows the engine knob with the registry's pre-built encodings
-        (bitvector when selected and eligible, packed otherwise, the
-        model's own loop for ``"loop"``), bypassing the per-engine
-        prediction LRUs (every serving batch is distinct, and benchmark
-        runs must not alias results).  All paths are bitwise identical to
-        ``model.predict_raw``.
-        """
-        engine = get_prediction_engine()
-        if engine == "bitvector" and self.bitvector is not None:
-            return self.bitvector.predict_raw(X, use_cache=False)
-        if engine != "loop" and self.packed is not None:
-            return self.packed.predict_raw(X, use_cache=False)
-        return self.model.predict_raw(X)
+        """Raw forest scores for ``X``, bitwise equal to ``model.predict_raw``."""
+        if self.engine is None:
+            return self.model.predict_raw(X)
+        return self.engine.predict_raw(X)
 
 
 class ModelRegistry:
@@ -94,8 +86,7 @@ class ModelRegistry:
             model_id=model_id,
             model=model,
             fingerprint=forest_fingerprint(model),
-            packed=packed_for(model),
-            bitvector=bitvector_for(model),
+            engine=engine_for(model),
             path=path,
             n_features=int(model.n_features_),
         )

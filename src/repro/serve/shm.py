@@ -1,18 +1,18 @@
 """Shared-memory export/attach of forest engine buffers for the fleet.
 
-Both evaluation engines are structure-of-arrays by construction
-(:meth:`~repro.forest.packed.PackedForest.export_state`,
-:meth:`~repro.forest.bitvector.BitvectorForest.export_state`): every
+Every evaluation engine is structure-of-arrays by construction
+(:meth:`~repro.forest.engines.EncodedForest.export_state`): every
 buffer prediction reads is one contiguous numpy array.  This module
 places those buffers in ``multiprocessing.shared_memory`` so N worker
 processes evaluate the *same physical copy* of a forest — attach is a
 zero-copy ``np.ndarray`` view over the segment, not a deserialization.
 
-Layout: one segment per (model, engine).  A :class:`SharedBlock` is the
-picklable description a worker needs to attach — segment name plus one
+Layout: one segment per model, holding the one encoding the engine
+ladder picked at registration.  A :class:`SharedBlock` is the picklable
+description a worker needs to attach — segment name plus one
 ``(offset, shape, dtype)`` record per array plus the engine's scalar
-metadata.  A :class:`SharedModelBundle` groups the blocks of one model
-together with its identity (id, fingerprint, feature count).
+metadata.  A :class:`SharedModelBundle` pairs that block, tagged with the
+engine name, with the model's identity (id, fingerprint, feature count).
 
 Lifecycle hygiene
 -----------------
@@ -45,7 +45,7 @@ __all__ = [
     "SharedModelBundle",
     "SharedSegment",
     "attach_block",
-    "attach_model_engines",
+    "attach_model_engine",
     "export_block",
     "export_model",
     "live_segments",
@@ -104,13 +104,18 @@ class SharedBlock:
 
 @dataclass(frozen=True)
 class SharedModelBundle:
-    """Everything a worker needs to serve one model from shared memory."""
+    """Everything a worker needs to serve one model from shared memory.
+
+    ``block`` holds the encoding by engine ``engine``; both are ``None``
+    when the engine ladder landed on the loop, which workers cannot run
+    (:func:`~repro.serve.worker.install_shared_model` refuses the bundle).
+    """
 
     model_id: str
     fingerprint: int
     n_features: int
-    packed: SharedBlock | None
-    bitvector: SharedBlock | None
+    engine: str | None
+    block: SharedBlock | None
 
 
 class SharedSegment:
@@ -247,56 +252,42 @@ def attach_block(
 
 
 def export_model(
-    model_id: str, fingerprint: int, n_features: int, packed, bitvector
+    model_id: str, fingerprint: int, n_features: int, engine
 ) -> tuple[SharedModelBundle, list[SharedSegment]]:
-    """Export a registered model's engine encodings into shared memory.
+    """Export a registered model's encoding into shared memory.
 
-    ``packed`` / ``bitvector`` are the model's
-    :class:`~repro.forest.packed.PackedForest` /
-    :class:`~repro.forest.bitvector.BitvectorForest` (either may be
-    ``None`` when the forest cannot be encoded by that engine).  Returns
-    the worker-facing bundle and the owned segments to unlink later.
+    ``engine`` is the model's :class:`~repro.forest.engines.EncodedForest`
+    (``None`` exports an empty bundle).  Returns the worker-facing bundle
+    and the owned segments to unlink later.
     """
     segments: list[SharedSegment] = []
-    packed_block = bitvector_block = None
-    if packed is not None:
-        arrays, meta = packed.export_state()
-        packed_block, segment = export_block("packed", arrays, meta)
+    name = block = None
+    if engine is not None:
+        name = engine.name
+        block, segment = export_block(name, *engine.export_state())
         segments.append(segment)
-    if bitvector is not None:
-        arrays, meta = bitvector.export_state()
-        bitvector_block, segment = export_block("bitvector", arrays, meta)
-        segments.append(segment)
-    return (
-        SharedModelBundle(
-            model_id=str(model_id),
-            fingerprint=int(fingerprint),
-            n_features=int(n_features),
-            packed=packed_block,
-            bitvector=bitvector_block,
-        ),
-        segments,
+    bundle = SharedModelBundle(
+        model_id=str(model_id),
+        fingerprint=int(fingerprint),
+        n_features=int(n_features),
+        engine=name,
+        block=block,
     )
+    return bundle, segments
 
 
-def attach_model_engines(bundle: SharedModelBundle):
-    """Attach a bundle's engines: ``(packed, bitvector, segments)``.
+def attach_model_engine(bundle: SharedModelBundle):
+    """Attach a bundle's encoding: ``(engine, segments)``.
 
-    The rebuilt engines evaluate directly over the shared buffers and are
-    bitwise identical to the exporting process's engines.  ``segments``
-    (the attached ``SharedMemory`` objects) must outlive the engines.
+    The rebuilt engine evaluates directly over the shared buffers and is
+    bitwise identical to the exporting process's engine (``None`` for an
+    empty bundle).  ``segments`` (the attached ``SharedMemory`` objects)
+    must outlive the engine.
     """
-    from ..forest.bitvector import BitvectorForest
-    from ..forest.packed import PackedForest
+    from ..forest.engines import restore_encoding
 
-    segments = []
-    packed = bitvector = None
-    if bundle.packed is not None:
-        segment, views = attach_block(bundle.packed)
-        segments.append(segment)
-        packed = PackedForest.from_state(views, bundle.packed.meta)
-    if bundle.bitvector is not None:
-        segment, views = attach_block(bundle.bitvector)
-        segments.append(segment)
-        bitvector = BitvectorForest.from_state(views, bundle.bitvector.meta)
-    return packed, bitvector, segments
+    if bundle.block is None:
+        return None, []
+    segment, views = attach_block(bundle.block)
+    engine = restore_encoding(bundle.engine, views, bundle.block.meta)
+    return engine, [segment]

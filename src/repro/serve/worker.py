@@ -59,7 +59,7 @@ from ..obs.metrics import enable_metrics, get_metrics
 from ..obs.trace import enable_tracing, get_tracer
 from .app import ServeApp, ServeConfig
 from .registry import ModelEntry
-from .shm import SharedModelBundle, attach_model_engines
+from .shm import SharedModelBundle, attach_model_engine
 
 __all__ = ["WorkerOptions", "install_shared_model", "worker_main"]
 
@@ -79,7 +79,7 @@ class WorkerOptions:
 class _SharedForestStub:
     """Placeholder model object for shared-memory entries.
 
-    Workers serve predict from the attached engines; the paths that need
+    Workers serve predict from the attached encoding; the paths that need
     the original forest object (surrogate fits, the ``"loop"`` engine)
     are front-end concerns and fail typed if reached in a worker.
     """
@@ -99,13 +99,13 @@ class _SharedForestStub:
 def install_shared_model(
     app: ServeApp, bundle: SharedModelBundle
 ) -> tuple[ModelEntry, list]:
-    """Attach a bundle's engines and install the model into ``app``.
+    """Attach a bundle's encoding and install the model into ``app``.
 
     Returns the installed entry and the attached shared-memory segment
     handles (which must stay referenced while the entry is in use).
     """
-    packed, bitvector, segments = attach_model_engines(bundle)
-    if packed is None and bitvector is None:
+    engine, segments = attach_model_engine(bundle)
+    if engine is None:
         raise ServeError(
             f"bundle for model {bundle.model_id!r} carries no engine state"
         )
@@ -113,8 +113,7 @@ def install_shared_model(
         model_id=bundle.model_id,
         model=_SharedForestStub(bundle.model_id, bundle.n_features),
         fingerprint=int(bundle.fingerprint),
-        packed=packed,
-        bitvector=bitvector,
+        engine=engine,
         path=None,
         n_features=int(bundle.n_features),
     )

@@ -136,7 +136,7 @@ class TestKernelWiring:
         packed.leaf_values[:] = np.nan
         X = np.full((4, 5), 0.5)
         with pytest.raises(NumericsError):
-            packed.predict_raw(X, use_cache=False)
+            packed.predict_raw(X)
 
     def test_explain_pipeline_finite_end_to_end(self, small_forest):
         # A normal fit under strict mode must sail through every guard.

@@ -21,16 +21,14 @@ from repro.forest import (
     RandomForestClassifier,
     RandomForestRegressor,
     Tree,
-    bitvector_for,
+    encoding_for,
     engine_names,
     get_prediction_engine,
-    invalidate_bitvector,
-    invalidate_packed,
-    packed_for,
+    invalidate_encodings,
     set_prediction_engine,
 )
 from repro.forest import bitvector as bitvector_mod
-from repro.forest.engines import DEFAULT_ENGINE
+from repro.forest.engines import _SLOT, DEFAULT_ENGINE
 from repro.forest.tree import LEAF
 
 
@@ -98,8 +96,8 @@ class TestEquivalence:
         model.fit(X, y)
         out = model.predict_raw(X_test)
         assert np.array_equal(out, loop_predict_raw(model, X_test))
-        packed = packed_for(model)
-        assert np.array_equal(out, packed.predict_raw(X_test, use_cache=False))
+        packed = encoding_for(model, "packed")
+        assert np.array_equal(out, packed.predict_raw(X_test))
 
     def test_gbdt_classifier_bitwise_identical(self, data):
         X, y, X_test = data
@@ -110,7 +108,7 @@ class TestEquivalence:
         out = model.predict_raw(X_test)
         assert np.array_equal(out, loop_predict_raw(model, X_test))
         assert np.array_equal(
-            out, packed_for(model).predict_raw(X_test, use_cache=False)
+            out, encoding_for(model, "packed").predict_raw(X_test)
         )
 
     @pytest.mark.parametrize("num_leaves", [2, 31])
@@ -172,7 +170,7 @@ class TestEquivalence:
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=9, num_leaves=15, random_state=0)
         model.fit(X, y)
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         values = encoded.leaf_value_matrix(X_test)
         assert values.shape == (9, X_test.shape[0])
         per_tree = np.stack([tree.predict(X_test) for tree in model.trees_])
@@ -198,7 +196,7 @@ class TestMaskWidths:
     )
     def test_word_layout_and_equality(self, depth, words, bits):
         model = self._stub([chain_tree(depth), chain_tree(3)])
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         assert encoded is not None
         assert encoded.n_words == words
         assert encoded.word_bits == bits
@@ -207,7 +205,7 @@ class TestMaskWidths:
         X[0] = np.nan
         X[1] = [0.1 * min(depth, 3) - 0.2, 0.0, 0.0]  # exact boundary
         assert np.array_equal(
-            encoded.predict_raw(X, use_cache=False), loop_predict_raw(model, X)
+            encoded.predict_raw(X), loop_predict_raw(model, X)
         )
 
     def test_trained_multiword_forest(self):
@@ -219,7 +217,7 @@ class TestMaskWidths:
         )
         model.fit(X, y)
         assert max(t.n_leaves for t in model.trees_) > 64
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         assert encoded.n_words >= 2
         X_test = rng.standard_normal((900, 6))
         assert np.array_equal(
@@ -240,11 +238,11 @@ class TestDegenerateTrees:
 
     def test_single_leaf_trees_only(self):
         model = self._stub([Tree.single_leaf(1.0), Tree.single_leaf(-0.25)])
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         assert encoded is not None
         X = np.random.default_rng(0).standard_normal((10, 3))
         assert np.array_equal(
-            encoded.predict_raw(X, use_cache=False), loop_predict_raw(model, X)
+            encoded.predict_raw(X), loop_predict_raw(model, X)
         )
 
     def test_mixed_single_leaf_chain_and_stump(self):
@@ -258,11 +256,11 @@ class TestDegenerateTrees:
             n_samples=np.array([10, 6, 4], dtype=np.int64),
         )
         model = self._stub([Tree.single_leaf(3.0), chain_tree(70), stump])
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         assert encoded.n_words == 2  # chain(70) has 71 leaves
         X = np.array([[0.25, 0.0, 0.0], [0.2500001, 0.0, 0.0], [-5.0, 1.0, 1.0]])
         assert np.array_equal(
-            encoded.predict_raw(X, use_cache=False), loop_predict_raw(model, X)
+            encoded.predict_raw(X), loop_predict_raw(model, X)
         )
 
     def test_edge_thresholds_exact_boundary(self):
@@ -278,9 +276,9 @@ class TestDegenerateTrees:
             n_samples=np.array([4, 2, 2], dtype=np.int64),
         )
         model = self._stub([tree], init=0.0)
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         X = np.array([[0.0, t, 0.0], [0.0, np.nextafter(t, 2.0), 0.0]])
-        out = encoded.predict_raw(X, use_cache=False)
+        out = encoded.predict_raw(X)
         assert np.array_equal(out, np.array([10.0, 20.0]))
         assert np.array_equal(out, loop_predict_raw(model, X))
 
@@ -292,9 +290,9 @@ class TestEligibilityAndFallback:
         model.fit(X, y)
         root = int(np.flatnonzero(model.trees_[0].feature != LEAF)[0])
         model.trees_[0].threshold[root] = np.nan
-        invalidate_packed(model)
-        assert bitvector_for(model) is None
-        assert packed_for(model) is None
+        invalidate_encodings(model)
+        assert encoding_for(model, "bitvector") is None
+        assert encoding_for(model, "packed") is None
         # predict_raw still works, now through the loop at the ladder's end.
         assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
 
@@ -307,50 +305,38 @@ class TestEligibilityAndFallback:
         model = GradientBoostingRegressor(n_estimators=8, num_leaves=15, random_state=0)
         model.fit(X, y)
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", 0)
-        invalidate_packed(model)
-        assert bitvector_for(model) is None
+        invalidate_encodings(model)
+        assert encoding_for(model, "bitvector") is None
         # The engine ladder lands on packed: output unchanged, pack cached.
         out = model.predict_raw(X_test)
         assert np.array_equal(out, loop_predict_raw(model, X_test))
-        assert model.__dict__["_packed_state"][1] is not None
+        assert model.__dict__[_SLOT][1]["packed"] is not None
 
     def test_decline_is_cached_until_invalidated(self, data, monkeypatch):
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=4, num_leaves=7, random_state=0)
         model.fit(X, y)
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", 0)
-        invalidate_bitvector(model)
-        assert bitvector_for(model) is None
-        assert model.__dict__["_bitvector_state"][1] is None
+        invalidate_encodings(model)
+        assert encoding_for(model, "bitvector") is None
+        assert model.__dict__[_SLOT][1]["bitvector"] is None
         monkeypatch.setattr(bitvector_mod, "MAX_TABLE_BYTES", 256 * 1024 * 1024)
         # Same fingerprint: the cached decline persists until invalidated.
-        assert bitvector_for(model) is None
-        invalidate_bitvector(model)
-        assert bitvector_for(model) is not None
+        assert encoding_for(model, "bitvector") is None
+        invalidate_encodings(model)
+        assert encoding_for(model, "bitvector") is not None
 
 
 class TestCacheAndInvalidation:
-    def test_cache_hit_returns_identical_copy(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
-        model.fit(X, y)
-        first = model.predict_raw(X_test)
-        second = model.predict_raw(X_test)
-        assert np.array_equal(first, second)
-        assert first is not second
-        # Mutating a returned array must not poison the cache.
-        second += 123.0
-        assert np.array_equal(model.predict_raw(X_test), first)
-
     def test_mutation_triggers_reencode(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
         model.fit(X, y)
         before = model.predict_raw(X_test)
-        encoded_before = bitvector_for(model)
+        encoded_before = encoding_for(model, "bitvector")
         model.trees_[0].value *= 2.0
         after = model.predict_raw(X_test)
-        assert bitvector_for(model) is not encoded_before
+        assert encoding_for(model, "bitvector") is not encoded_before
         assert not np.array_equal(before, after)
         assert np.array_equal(after, loop_predict_raw(model, X_test))
 
@@ -358,19 +344,20 @@ class TestCacheAndInvalidation:
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
         model.fit(X, y)
-        assert bitvector_for(model) is not None
-        assert packed_for(model) is not None
-        invalidate_packed(model)
-        assert "_bitvector_state" not in model.__dict__
-        assert "_packed_state" not in model.__dict__
+        assert encoding_for(model, "bitvector") is not None
+        assert encoding_for(model, "packed") is not None
+        # One slot holds every engine's encoding; one call drops them all.
+        invalidate_encodings(model)
+        assert _SLOT not in model.__dict__
 
     def test_explicit_bitvector_invalidation_hook(self, data):
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
         model.fit(X, y)
-        assert bitvector_for(model) is not None
-        invalidate_bitvector(model)
-        assert "_bitvector_state" not in model.__dict__
+        before = encoding_for(model, "bitvector")
+        assert before is not None
+        invalidate_encodings(model)
+        assert encoding_for(model, "bitvector") is not before
 
 
 class TestEngineKnobAndRegistry:
@@ -394,8 +381,7 @@ class TestEngineKnobAndRegistry:
         model.fit(X, y)
         set_prediction_engine("loop")
         out = model.predict_raw(X_test)
-        assert "_bitvector_state" not in model.__dict__
-        assert "_packed_state" not in model.__dict__
+        assert _SLOT not in model.__dict__
         set_prediction_engine("bitvector")
         assert np.array_equal(out, model.predict_raw(X_test))
 
@@ -405,33 +391,30 @@ class TestEngineKnobAndRegistry:
         model.fit(X, y)
         set_prediction_engine("packed")
         out = model.predict_raw(X_test)
-        assert "_bitvector_state" not in model.__dict__
-        assert "_packed_state" in model.__dict__
+        assert set(model.__dict__[_SLOT][1]) == {"packed"}
         assert np.array_equal(out, loop_predict_raw(model, X_test))
 
 
 class TestChunkingAndThreads:
-    def test_n_jobs_and_chunking_invariance(self, data):
+    def test_chunking_invariance(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=20, num_leaves=31, random_state=0)
         model.fit(X, y)
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         reference = loop_predict_raw(model, X_test)
         for chunk in (64, 256, 2048):
-            out = encoded.predict_raw(X_test, chunk=chunk, use_cache=False)
+            out = encoded.predict_raw(X_test, chunk=chunk)
             assert np.array_equal(out, reference)
-        out = encoded.predict_raw(X_test, n_jobs=4, use_cache=False)
-        assert np.array_equal(out, reference)
         with pytest.raises(ValueError):
-            encoded.predict_raw(X_test, chunk=100, use_cache=False)
+            encoded.predict_raw(X_test, chunk=100)
 
     def test_feature_count_mismatch_rejected(self, data):
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=4, num_leaves=7, random_state=0)
         model.fit(X, y)
-        encoded = bitvector_for(model)
+        encoded = encoding_for(model, "bitvector")
         with pytest.raises(ValueError, match="features"):
-            encoded.predict_raw(np.zeros((3, 9)), use_cache=False)
+            encoded.predict_raw(np.zeros((3, 9)))
 
     def test_direct_pack_roundtrip(self, data):
         X, y, X_test = data
@@ -443,6 +426,6 @@ class TestChunkingAndThreads:
         assert encoded is not None
         assert encoded.n_trees == 8
         assert np.array_equal(
-            encoded.predict_raw(X_test, use_cache=False),
+            encoded.predict_raw(X_test),
             loop_predict_raw(model, X_test),
         )

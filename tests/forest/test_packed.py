@@ -18,12 +18,12 @@ from repro.forest import (
     RandomForestClassifier,
     RandomForestRegressor,
     Tree,
+    encoding_for,
     get_prediction_engine,
-    invalidate_packed,
-    packed_for,
+    invalidate_encodings,
     set_prediction_engine,
 )
-from repro.forest.engines import DEFAULT_ENGINE
+from repro.forest.engines import _SLOT, DEFAULT_ENGINE
 from repro.forest.tree import LEAF
 
 
@@ -137,7 +137,7 @@ class TestDegenerateTrees:
 
     def test_single_leaf_trees_only(self):
         model = self._forest_of([Tree.single_leaf(1.0), Tree.single_leaf(-0.25)])
-        packed = packed_for(model)
+        packed = encoding_for(model, "packed")
         X = np.random.default_rng(0).standard_normal((10, 3))
         assert np.array_equal(packed.predict_raw(X), loop_predict_raw(model, X))
 
@@ -152,7 +152,7 @@ class TestDegenerateTrees:
             n_samples=np.array([10, 6, 4], dtype=np.int64),
         )
         model = self._forest_of([Tree.single_leaf(3.0), stump])
-        packed = packed_for(model)
+        packed = encoding_for(model, "packed")
         X = np.array([[0.25, 0.0, 0.0], [0.2500001, 0.0, 0.0], [-5.0, 1.0, 1.0]])
         assert np.array_equal(packed.predict_raw(X), loop_predict_raw(model, X))
 
@@ -169,7 +169,7 @@ class TestDegenerateTrees:
             n_samples=np.array([4, 2, 2], dtype=np.int64),
         )
         model = self._forest_of([tree], init=0.0)
-        packed = packed_for(model)
+        packed = encoding_for(model, "packed")
         X = np.array([[0.0, t, 0.0], [0.0, np.nextafter(t, 2.0), 0.0]])
         out = packed.predict_raw(X)
         assert np.array_equal(out, np.array([10.0, 20.0]))
@@ -181,34 +181,22 @@ class TestDegenerateTrees:
         model.fit(X, y)
         root = int(np.flatnonzero(model.trees_[0].feature != LEAF)[0])
         model.trees_[0].threshold[root] = np.nan
-        invalidate_packed(model)
-        assert packed_for(model) is None
+        invalidate_encodings(model)
+        assert encoding_for(model, "packed") is None
         # predict_raw still works through the loop fallback.
         assert np.array_equal(model.predict_raw(X_test), loop_predict_raw(model, X_test))
 
 
 class TestCacheAndInvalidation:
-    def test_cache_hit_returns_identical_copy(self, data):
-        X, y, X_test = data
-        model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
-        model.fit(X, y)
-        first = model.predict_raw(X_test)
-        second = model.predict_raw(X_test)
-        assert np.array_equal(first, second)
-        assert first is not second
-        # Mutating a returned array must not poison the cache.
-        second += 123.0
-        assert np.array_equal(model.predict_raw(X_test), first)
-
     def test_mutation_triggers_repack(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=10, num_leaves=15, random_state=0)
         model.fit(X, y)
         before = model.predict_raw(X_test)
-        packed_before = packed_for(model)
+        packed_before = encoding_for(model, "packed")
         model.trees_[0].value *= 2.0
         after = model.predict_raw(X_test)
-        assert packed_for(model) is not packed_before
+        assert encoding_for(model, "packed") is not packed_before
         assert not np.array_equal(before, after)
         assert np.array_equal(after, loop_predict_raw(model, X_test))
 
@@ -216,9 +204,11 @@ class TestCacheAndInvalidation:
         X, y, _ = data
         model = GradientBoostingRegressor(n_estimators=5, num_leaves=7, random_state=0)
         model.fit(X, y)
-        assert packed_for(model) is not None
-        invalidate_packed(model)
-        assert "_packed_state" not in model.__dict__
+        before = encoding_for(model, "packed")
+        assert before is not None
+        invalidate_encodings(model)
+        assert _SLOT not in model.__dict__
+        assert encoding_for(model, "packed") is not before
 
 
 class TestEngineKnobAndThreads:
@@ -236,23 +226,21 @@ class TestEngineKnobAndThreads:
         model.fit(X, y)
         set_prediction_engine("loop")
         out = model.predict_raw(X_test)
-        assert "_packed_state" not in model.__dict__
+        assert _SLOT not in model.__dict__
         set_prediction_engine("packed")
         assert np.array_equal(out, model.predict_raw(X_test))
 
-    def test_n_jobs_and_chunking_invariance(self, data):
+    def test_chunking_invariance(self, data):
         X, y, X_test = data
         model = GradientBoostingRegressor(n_estimators=20, num_leaves=31, random_state=0)
         model.fit(X, y)
-        packed = packed_for(model)
+        packed = encoding_for(model, "packed")
         reference = loop_predict_raw(model, X_test)
         for chunk in (32, 128, 1024):
-            out = packed.predict_raw(X_test, chunk=chunk, use_cache=False)
+            out = packed.predict_raw(X_test, chunk=chunk)
             assert np.array_equal(out, reference)
-        out = packed.predict_raw(X_test, n_jobs=4, use_cache=False)
-        assert np.array_equal(out, reference)
         with pytest.raises(ValueError):
-            packed.predict_raw(X_test, chunk=100, use_cache=False)
+            packed.predict_raw(X_test, chunk=100)
 
     def test_direct_pack_roundtrip(self, data):
         X, y, X_test = data

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import LedgerError
-from repro.forest.packed import forest_fingerprint
+from repro.forest import forest_fingerprint
 from repro.ledger import (
     LedgerStore,
     diff_entries,

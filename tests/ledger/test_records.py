@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import GEFConfig, explain_config_hash
 from repro.core.errors import LedgerEntryNotFoundError, LedgerError
-from repro.forest.packed import forest_fingerprint
+from repro.forest import forest_fingerprint
 from repro.ledger import (
     LedgerStore,
     config_from_archive,

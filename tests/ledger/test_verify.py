@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.errors import LedgerError
-from repro.forest.packed import forest_fingerprint
+from repro.forest import forest_fingerprint
 from repro.ledger import (
     LedgerStore,
     record_event,

@@ -269,11 +269,11 @@ def test_predict_error_propagates_to_every_submitter():
 
 
 def test_batched_scores_bitwise_equal_direct(serve_forest, serve_rows):
-    from repro.forest import packed_for
+    from repro.forest import encoding_for
 
-    packed = packed_for(serve_forest)
+    packed = encoding_for(serve_forest, "packed")
     batcher = MicroBatcher(
-        lambda X: packed.predict_raw(X, use_cache=False),
+        packed.predict_raw,
         max_batch=8,
         max_delay_s=1e9,
         name="exact",
@@ -296,7 +296,7 @@ def test_batched_scores_bitwise_equal_direct(serve_forest, serve_rows):
         thread.join(10.0)
     batcher.stop()
     for i, chunk in enumerate(chunks):
-        direct = packed.predict_raw(chunk, use_cache=False)
+        direct = packed.predict_raw(chunk)
         assert np.array_equal(results[i], direct), (
             f"client {i}: batched scores differ from direct evaluation"
         )

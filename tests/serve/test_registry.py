@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.errors import ModelNotFoundError, ServeError
 from repro.forest import (
+    encoding_for,
     forest_fingerprint,
     load_forest,
-    packed_for,
     save_forest,
 )
 from repro.serve import ModelRegistry
@@ -22,7 +22,7 @@ def test_add_in_memory_and_predict(serve_forest, serve_rows):
     assert entry.fingerprint == forest_fingerprint(serve_forest)
     assert entry.n_features == serve_forest.n_features_
     assert "demo" in registry and len(registry) == 1
-    direct = packed_for(serve_forest).predict_raw(serve_rows, use_cache=False)
+    direct = encoding_for(serve_forest, "packed").predict_raw(serve_rows)
     np.testing.assert_array_equal(entry.predict_raw(serve_rows), direct)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GEFConfig
-from repro.forest import forest_fingerprint, packed_for, save_forest
+from repro.forest import encoding_for, forest_fingerprint, save_forest
 from repro.obs.metrics import (
     enable_metrics,
     get_metrics,
@@ -87,7 +87,7 @@ def test_metrics_endpoint_is_valid_prometheus(server, serve_rows):
 
 def test_http_predict_bitwise_equals_packed_engine(server, serve_forest,
                                                   serve_rows):
-    packed = packed_for(serve_forest)
+    packed = encoding_for(serve_forest, "packed")
     chunks = [serve_rows[i * 4 : i * 4 + 4] for i in range(12)]
     results: dict[int, list] = {}
     errors: list[Exception] = []
@@ -114,7 +114,7 @@ def test_http_predict_bitwise_equals_packed_engine(server, serve_forest,
         thread.join(30.0)
     assert not errors
     for i, chunk in enumerate(chunks):
-        direct = packed.predict_raw(chunk, use_cache=False).tolist()
+        direct = packed.predict_raw(chunk).tolist()
         assert results[i] == direct, (
             f"client {i}: HTTP predictions differ from the packed engine "
             f"(JSON floats round-trip exactly, so this is a real mismatch)"

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.forest.packed import packed_for
+from repro.core.errors import ServeError
+from repro.forest import encoding_for
 from repro.serve.app import ServeApp
 from repro.serve.registry import ModelRegistry
 from repro.serve.shm import (
     attach_block,
-    attach_model_engines,
+    attach_model_engine,
     export_block,
     export_model,
     live_segments,
@@ -25,11 +26,7 @@ def entry(serve_forest):
 
 def _export(entry):
     return export_model(
-        entry.model_id,
-        entry.fingerprint,
-        entry.n_features,
-        entry.packed,
-        entry.bitvector,
+        entry.model_id, entry.fingerprint, entry.n_features, entry.engine
     )
 
 
@@ -62,23 +59,25 @@ class TestExportAttach:
             segment.unlink()
 
     def test_attached_engines_bitwise_identical(self, entry, serve_rows):
-        bundle, segments = _export(entry)
-        try:
-            packed, bitvector, shms = attach_model_engines(bundle)
-            expected = entry.model.predict_raw(serve_rows)
-            np.testing.assert_array_equal(
-                packed.predict_raw(serve_rows, use_cache=False), expected
+        expected = entry.model.predict_raw(serve_rows)
+        for name in ("packed", "bitvector"):
+            local = encoding_for(entry.model, name)
+            bundle, segments = export_model(
+                "m", entry.fingerprint, entry.n_features, local
             )
-            np.testing.assert_array_equal(
-                bitvector.predict_raw(serve_rows, use_cache=False), expected
-            )
-            assert packed.fingerprint == entry.fingerprint
-            assert bitvector.fingerprint == entry.fingerprint
-            for shm in shms:
-                shm.close()
-        finally:
-            for segment in segments:
-                segment.unlink()
+            try:
+                attached, shms = attach_model_engine(bundle)
+                assert bundle.engine == attached.name == name
+                assert bundle.fingerprint == entry.fingerprint
+                np.testing.assert_array_equal(
+                    attached.predict_raw(serve_rows), expected
+                )
+                np.testing.assert_array_equal(local.predict_raw(serve_rows), expected)
+                for shm in shms:
+                    shm.close()
+            finally:
+                for segment in segments:
+                    segment.unlink()
 
     def test_install_shared_model_serves_predict(self, entry, serve_rows):
         bundle, segments = _export(entry)
@@ -117,25 +116,25 @@ class TestLifecycleHygiene:
         for segment in segments:
             segment.unlink()
         with pytest.raises(FileNotFoundError):
-            attach_block(bundle.packed)
+            attach_block(bundle.block)
 
     def test_export_uses_fresh_segment_names(self, entry):
         first, segments_a = _export(entry)
         second, segments_b = _export(entry)
         try:
-            assert first.packed.segment != second.packed.segment
+            assert first.block.segment != second.block.segment
         finally:
             for segment in segments_a + segments_b:
                 segment.unlink()
 
-    def test_missing_engine_exports_none(self, serve_forest):
-        bundle, segments = export_model("m", 1, 5, packed_for(serve_forest), None)
+    def test_missing_engine_exports_none(self):
+        bundle, segments = export_model("m", 1, 5, None)
+        assert segments == []
+        assert bundle.engine is None and bundle.block is None
+        assert attach_model_engine(bundle) == (None, [])
+        app = ServeApp()
         try:
-            assert bundle.bitvector is None
-            packed, bitvector, shms = attach_model_engines(bundle)
-            assert bitvector is None and packed is not None
-            for shm in shms:
-                shm.close()
+            with pytest.raises(ServeError, match="no engine state"):
+                install_shared_model(app, bundle)
         finally:
-            for segment in segments:
-                segment.unlink()
+            app.close(drain=True)
