@@ -10,6 +10,9 @@ beyond each end of the feature domain, so the basis forms a partition of
 unity on the whole domain.  Evaluation outside the domain clamps to the
 boundary, giving constant extrapolation — the safe choice for a surrogate
 queried slightly outside the sampled region.
+
+:func:`bspline_design` evaluates the basis by local de Boor, computing only
+the ``degree + 1`` nonzeros of each row.
 """
 
 from __future__ import annotations
@@ -53,9 +56,12 @@ def bspline_design(
 ) -> np.ndarray:
     """Dense design matrix of B-spline basis functions evaluated at ``x``.
 
-    Cox–de Boor recursion, vectorized over the evaluation points.  Inputs
-    are clamped to the knot-supported domain, which yields constant
-    extrapolation of the fitted spline beyond it.
+    Local de Boor: the Cox–de Boor recursion runs only on the
+    ``degree + 1`` bases that are nonzero on each row's knot interval,
+    with the full recursion's floating-point operations in its order, so
+    the design is bitwise equal to it.  Inputs are clamped to the
+    knot-supported domain, which yields constant extrapolation of the
+    fitted spline beyond it.
 
     Returns an ``(len(x), len(knots) - degree - 1)`` array whose rows sum to
     one (partition of unity).
@@ -71,28 +77,44 @@ def bspline_design(
     hi = knots[-degree - 1]
     eps = 1e-12 * max(1.0, abs(hi))
     xc = np.clip(x, lo, hi - eps if hi > lo else lo)
+    n = len(xc)
 
-    # Degree-0 bases: indicator of the half-open knot interval.
+    # Degree 0: the indicator of each row's half-open knot interval k.
     n0 = len(knots) - 1
-    basis = np.zeros((len(xc), n0))
     interval = np.clip(np.searchsorted(knots, xc, side="right") - 1, 0, n0 - 1)
-    basis[np.arange(len(xc)), interval] = 1.0
 
-    # Cox–de Boor elevation to the requested degree.
+    # Window row j at degree d is basis k - d + j; its two Cox–de Boor
+    # denominators are both ``tr - tl``.  Padding the knots keeps windows
+    # that overhang the basis range (degenerate clamps) on real indices.
+    # A zero-width span divides to zero where the full recursion skips
+    # it, and adding onto zeros, as it does, keeps even the zero signs.
+    padded = np.concatenate(
+        [np.full(degree, knots[0]), knots, np.full(degree, knots[-1])]
+    )
+    window = padded[interval + np.arange(1, 2 * degree + 1)[:, None]]
+    local = np.ones((1, n))
     with numerics_guard("bspline_design (Cox-de Boor recursion)"):
         for d in range(1, degree + 1):
-            n_d = n0 - d
-            new = np.zeros((len(xc), n_d))
-            for i in range(n_d):
-                denom_l = knots[i + d] - knots[i]
-                denom_r = knots[i + d + 1] - knots[i + 1]
-                if denom_l > 0:
-                    new[:, i] += (xc - knots[i]) / denom_l * basis[:, i]
-                if denom_r > 0:
-                    new[:, i] += (knots[i + d + 1] - xc) / denom_r * basis[:, i + 1]
-            basis = new
+            tl = window[degree - d : degree]
+            tr = window[degree : degree + d]
+            width = tr - tl
+            width[width <= 0] = np.inf
+            new = np.zeros((d + 1, n))
+            new[1:] += (xc - tl) / width * local
+            new[:-1] += (tr - xc) / width * local
+            local = new
 
-    basis = basis[:, :n_bases]
+    # Scatter into the dense design, dropping overhang columns.
+    cols = interval - degree + np.arange(degree + 1)[:, None]
+    flat = cols + np.arange(0, n * n_bases, n_bases)
+    inside = (cols >= 0) & (cols < n_bases)
+    if not inside.all():
+        flat, local = flat[inside], local[inside]
+    basis = np.zeros((n, n_bases))
+    basis.reshape(-1)[flat] = local
+    nan_rows = np.isnan(xc)
+    if nan_rows.any():
+        basis[nan_rows] = np.nan
     assert_all_finite(basis, "bspline_design")
     return basis
 

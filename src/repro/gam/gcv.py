@@ -4,7 +4,8 @@ The paper selects the penalization coefficients "varying lambda equally for
 each term used" via GCV.  For the identity-link / normal case the search is
 essentially free: the Gram matrices ``X'X`` and ``X'y`` are accumulated
 once, after which every candidate lambda costs a single p-by-p solve.  For
-the logistic link each candidate requires a full PIRLS refit.
+the logistic link each candidate requires a full PIRLS refit; the terms
+are fitted and the design blocks built once, and every refit runs on them.
 """
 
 from __future__ import annotations
@@ -28,21 +29,20 @@ def _identity_gcv_path(gam, X: np.ndarray, y: np.ndarray, lam_grid: np.ndarray):
     """Fast GCV path for the normal/identity GAM via shared Gram matrices."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-    for term in gam.terms:
-        term.fit(X)
+    gam._fit_terms(X)
     p = gam.n_coefs
     n = len(y)
 
     xtx = np.zeros((p, p))
     xty = np.zeros(p)
     yty = float(y @ y)
-    for lo, hi in gam._chunks(n):
-        d = gam._design_chunk(X[lo:hi])
-        xtx += d.T @ d
-        xty += d.T @ y[lo:hi]
+    for lo, hi, d in gam._design_blocks(X):
+        with obs_span("gam.gram"):
+            xtx += d.T @ d
+            xty += d.T @ y[lo:hi]
 
     results = []
-    with numerics_guard("GCV scoring (identity path)"):
+    with obs_span("gam.solve"), numerics_guard("GCV scoring (identity path)"):
         for lam in lam_grid:
             S = gam.penalty_matrix(lam)
             A = xtx + S
@@ -101,11 +101,15 @@ def _gridsearch_body(gam, X, y, lam_grid, identity_normal, verbose):
             for l_, g_ in lam_path:
                 print(f"  lam={l_:10.4g}  GCV={g_:.6g}")
     else:
+        X, y = gam._check_xy(X, y)
+        gam._fit_terms(X)
+        blocks = list(gam._design_blocks(X))
         best_gcv = np.inf
         best_state = None
         for lam in lam_grid:
             gam.lam = float(lam)
-            gam.fit(X, y)
+            with obs_span("gam.fit", n=len(y), p=gam.n_coefs):
+                gam._pirls(blocks, y)
             gcv = gam.statistics_["GCV"]
             assert_all_finite(np.asarray([gcv]), f"GCV score (lam={lam:g})")
             lam_path.append((float(lam), gcv))

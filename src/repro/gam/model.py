@@ -12,8 +12,13 @@ Wood, *Generalized Additive Models: an introduction with R* (2006):
 * ``GCV  = n * deviance / (n - edof)^2``
 * ``V_beta = (X'WX + S)^-1 * scale``  (posterior covariance)
 
-Design matrices are built in row chunks so that very large synthetic
-datasets (the paper uses N = 100,000) never materialize an N-by-p matrix.
+Each term's basis is built once per fit: :meth:`GAM.fit` and the GCV
+refit path evaluate the centered design on the training rows a single
+time, as row blocks of ``chunk_size`` rows (N-by-p-by-8 bytes in all),
+and every PIRLS iteration and every lambda candidate reuses those blocks
+for ``X'WX``, ``X'Wz`` and ``eta``.  The identity-link GCV path streams
+the blocks instead: it needs the Gram matrices only, so it holds one
+block at a time.
 """
 
 from __future__ import annotations
@@ -105,11 +110,31 @@ class GAM:
         return sum(t.n_coefs for t in self.terms)
 
     def _design_chunk(self, X: np.ndarray) -> np.ndarray:
-        return np.hstack([term.design(X) for term in self.terms])
+        # Filled term by term, so a block costs one N-by-p buffer, not two.
+        d = np.empty((len(X), self.n_coefs))
+        for term, sl in zip(self.terms, self._term_slices()):
+            d[:, sl] = term.design(X)
+        return d
 
     def _chunks(self, n: int):
         for start in range(0, n, self.chunk_size):
             yield start, min(start + self.chunk_size, n)
+
+    def _fit_terms(self, X: np.ndarray) -> None:
+        with obs_span("gam.basis", rows=len(X)):
+            for term in self.terms:
+                term.fit(X)
+
+    def _design_blocks(self, X: np.ndarray):
+        """Yield ``(lo, hi, design of rows lo:hi)`` per ``chunk_size`` block.
+
+        Callers either hold the blocks (PIRLS reuses them across
+        iterations and lambdas) or stream them (the identity GCV path).
+        """
+        for lo, hi in self._chunks(len(X)):
+            with obs_span("gam.basis", rows=hi - lo):
+                d = self._design_chunk(X[lo:hi])
+            yield lo, hi, d
 
     def _resolve_lam(self, lam, n_given_terms: int):
         """Normalize ``lam`` to a scalar or a per-term array over self.terms.
@@ -160,6 +185,15 @@ class GAM:
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GAM":
         """Fit by PIRLS; records edof, scale, GCV and V_beta in statistics_."""
+        X, y = self._check_xy(X, y)
+        with obs_span("gam.fit", n=len(y)) as fit_span:
+            self._fit_terms(X)
+            blocks = list(self._design_blocks(X))
+            fit_span.set(p=self.n_coefs)
+            return self._pirls(blocks, y)
+
+    @staticmethod
+    def _check_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).ravel()
         if len(X) != len(y):
@@ -168,9 +202,10 @@ class GAM:
             raise ValueError("need at least two samples")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise ValueError("X and y must be finite (no NaN/inf)")
+        return X, y
 
-        for term in self.terms:
-            term.fit(X)
+    def _pirls(self, blocks: list, y: np.ndarray) -> "GAM":
+        """PIRLS at ``self.lam`` on the held ``_design_blocks`` of fitted terms."""
         S = self.penalty_matrix()
         p = self.n_coefs
         n = len(y)
@@ -189,30 +224,33 @@ class GAM:
             self.link.name == "identity" and self.distribution.name == "normal"
         )
 
-        with obs_span("gam.fit", n=n, p=p), numerics_guard("PIRLS solve"):
+        with numerics_guard("PIRLS solve"):
             for iteration in range(self.max_iter):
                 mu = self.link.inverse(eta)
                 g_prime = self.link.derivative(mu)
                 w = 1.0 / (g_prime**2 * self.distribution.variance(mu))
                 z = eta + (y - mu) * g_prime
 
-                xtwx[:] = 0.0
-                xtwz = np.zeros(p)
-                for lo, hi in self._chunks(n):
-                    d = self._design_chunk(X[lo:hi])
-                    dw = d * w[lo:hi, None]
-                    xtwx += dw.T @ d
-                    xtwz += dw.T @ z[lo:hi]
+                with obs_span("gam.gram"):
+                    xtwx[:] = 0.0
+                    xtwz = np.zeros(p)
+                    for lo, hi, d in blocks:
+                        dw = d * w[lo:hi, None]
+                        xtwx += dw.T @ d
+                        xtwz += dw.T @ z[lo:hi]
 
-                try:
-                    beta = np.linalg.solve(xtwx + S, xtwz)
-                except np.linalg.LinAlgError as exc:
-                    raise FitDivergenceError(
-                        f"PIRLS normal equations singular at iteration "
-                        f"{iteration}: {exc}"
-                    ) from exc
+                with obs_span("gam.solve"):
+                    try:
+                        beta = np.linalg.solve(xtwx + S, xtwz)
+                    except np.linalg.LinAlgError as exc:
+                        raise FitDivergenceError(
+                            f"PIRLS normal equations singular at iteration "
+                            f"{iteration}: {exc}"
+                        ) from exc
 
-                eta = self._predict_eta_fitted(X, beta)
+                eta = np.empty(n)
+                for lo, hi, d in blocks:
+                    eta[lo:hi] = d @ beta
                 mu = self.link.inverse(eta)
                 deviance = self.distribution.deviance(y, mu)
                 if identity_normal or abs(deviance_prev - deviance) < self.tol * (
@@ -235,21 +273,22 @@ class GAM:
     def _finalize_statistics(
         self, xtwx: np.ndarray, S: np.ndarray, deviance: float, n: int
     ) -> None:
-        try:
-            a_inv_xtwx = np.linalg.solve(xtwx + S, xtwx)
-        except np.linalg.LinAlgError as exc:
-            raise FitDivergenceError(
-                f"penalized normal equations singular: {exc}"
-            ) from exc
-        edof = float(np.trace(a_inv_xtwx))
-        if self.distribution.fixed_scale is not None:
-            scale = float(self.distribution.fixed_scale)
-        else:
-            scale = deviance / max(n - edof, 1.0)
-        denom = max(n - edof, 1e-8)
-        gcv = n * deviance / denom**2
-        assert_all_finite(np.asarray([edof, scale, gcv]), "GAM statistics")
-        vb = np.linalg.inv(xtwx + S) * scale
+        with obs_span("gam.solve"):
+            try:
+                a_inv_xtwx = np.linalg.solve(xtwx + S, xtwx)
+            except np.linalg.LinAlgError as exc:
+                raise FitDivergenceError(
+                    f"penalized normal equations singular: {exc}"
+                ) from exc
+            edof = float(np.trace(a_inv_xtwx))
+            if self.distribution.fixed_scale is not None:
+                scale = float(self.distribution.fixed_scale)
+            else:
+                scale = deviance / max(n - edof, 1.0)
+            denom = max(n - edof, 1e-8)
+            gcv = n * deviance / denom**2
+            assert_all_finite(np.asarray([edof, scale, gcv]), "GAM statistics")
+            vb = np.linalg.inv(xtwx + S) * scale
         self.statistics_ = {
             "edof": edof,
             "scale": scale,
@@ -258,12 +297,6 @@ class GAM:
             "n_samples": n,
             "cov": vb,
         }
-
-    def _predict_eta_fitted(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        eta = np.empty(len(X))
-        for lo, hi in self._chunks(len(X)):
-            eta[lo:hi] = self._design_chunk(X[lo:hi]) @ beta
-        return eta
 
     # ------------------------------------------------------------------
     # prediction
@@ -276,7 +309,10 @@ class GAM:
         """Linear predictor (link scale)."""
         self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self._predict_eta_fitted(X, self.coef_)
+        eta = np.empty(len(X))
+        for lo, hi in self._chunks(len(X)):
+            eta[lo:hi] = self._design_chunk(X[lo:hi]) @ self.coef_
+        return eta
 
     def predict_mu(self, X: np.ndarray) -> np.ndarray:
         """Response mean: inverse link of the linear predictor."""

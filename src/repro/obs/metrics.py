@@ -27,6 +27,14 @@ are flat dotted strings following the site that owns them::
                                       (singleflight: one per fingerprint)
     surrogate.evictions     counter   cached Γ dropped by LRU capacity
 
+Time is measured by trace spans, not metrics.  The GAM fit opens these::
+
+    gam.gcv                 one lambda grid search (fit stage)
+    gam.fit                 one PIRLS fit (one per lambda on the logit path)
+    gam.basis               term fitting and design-block construction
+    gam.gram                X'WX / X'Wz (or X'X / X'y) accumulation
+    gam.solve               p-by-p solves, edof and covariance
+
 All registry mutation happens under one internal lock; increments are
 exact under concurrency (the threaded test hammers one counter from
 eight threads and asserts the total).
