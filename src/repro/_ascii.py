@@ -6,10 +6,10 @@ plots so benchmark output is inspectable directly in a terminal or log.
 
 Like :mod:`repro._rng`, this module lives outside every subpackage so
 any layer can use it without crossing the architecture DAG: the public
-presentation surface stays :mod:`repro.viz.ascii` (a re-export), while
-``repro.core.report`` renders its component curves through the same
-primitives without ``core`` importing ``viz`` (the ``layering`` deep
-pass forbids that edge).
+presentation surface is :mod:`repro.viz`, which exports these charts,
+while ``repro.core.report`` renders its component curves through the
+same primitives without ``core`` importing ``viz`` (the ``layering``
+deep pass forbids that edge).
 """
 
 from __future__ import annotations

@@ -216,7 +216,6 @@ def _cmd_serve(args) -> int:
             config,
             FleetConfig(
                 workers=args.workers,
-                replication=args.replication or args.workers,
                 worker_threads=args.worker_threads,
                 quorum=args.quorum,
             ),
@@ -234,7 +233,6 @@ def _cmd_serve(args) -> int:
         app.start_fleet(supervise_interval_s=args.heartbeat_interval)
         print(
             f"fleet up: {args.workers} worker(s), "
-            f"replication {args.replication or args.workers}, "
             f"quorum {args.quorum}, heartbeat every "
             f"{args.heartbeat_interval:g}s"
         )
@@ -482,11 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--surrogate-capacity", type=int, default=4,
                        help="fitted GAM surrogates kept in the LRU cache")
     serve.add_argument("--workers", type=int, default=0,
-                       help="worker processes for the serving fleet "
+                       help="worker processes for the serving fleet, "
+                            "each holding every model "
                             "(0 = single-process in-proc serving)")
-    serve.add_argument("--replication", type=int, default=0,
-                       help="replicas per model across the fleet "
-                            "(0 = replicate to every worker)")
     serve.add_argument("--worker-threads", type=int, default=4,
                        help="request threads inside each fleet worker")
     serve.add_argument("--quorum", type=int, default=1,

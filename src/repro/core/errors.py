@@ -22,7 +22,7 @@ Taxonomy::
     │   ├── ShedError           admission control rejected the request
     │   │                       (HTTP 429: queue depth / inflight limit)
     │   ├── WorkerCrashError    a fleet worker process died mid-request
-    │   │                       and no replica could absorb it (HTTP 503)
+    │   │                       and no worker could absorb it (HTTP 503)
     │   └── FleetDegradedError  the worker fleet is below quorum or its
     │                           restart circuit breaker is open (HTTP 503)
     └── LedgerError             versioned model/explanation ledger failure
@@ -152,12 +152,12 @@ class ShedError(ServeError):
 
 
 class WorkerCrashError(ServeError):
-    """A fleet worker died mid-request and no replica absorbed it.
+    """A fleet worker died mid-request and no other worker absorbed it.
 
     Under normal failover a crashed worker's in-flight requests are
-    re-dispatched to a surviving replica (predict is pure given the
+    re-dispatched to a surviving worker (predict is pure given the
     forest fingerprint, so a re-dispatch is idempotent) and, when no
-    replica is alive, served in-process.  This error marks the
+    worker is alive, served in-process.  This error marks the
     pathological leftovers — e.g. every re-dispatch target died too —
     and maps to HTTP 503.
     """

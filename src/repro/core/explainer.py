@@ -42,7 +42,7 @@ from .errors import (
 )
 from .explanation import GEFExplanation
 from .feature_selection import feature_thresholds, select_univariate
-from .gam_builder import build_degraded_gam, build_gam
+from .gam_builder import build_gam
 from .interactions import select_interactions
 from .numerics import NumericsError
 from .sampling import build_sampling_domains
@@ -335,16 +335,10 @@ class GEF:
                 metric_gauge("degrade.rung", rung_index)
             for trial in range(1 + in_rung_retries):
                 trial_start = monotonic()
-                if rung in ("univariate-only", "linear"):
-                    gam = build_degraded_gam(
-                        features, rung_pairs, thresholds, cfg,
-                        is_classifier, feature_names, rung,
-                    )
-                else:
-                    gam = build_gam(
-                        features, rung_pairs, thresholds, cfg,
-                        is_classifier, feature_names,
-                    )
+                gam = build_gam(
+                    features, rung_pairs, thresholds, cfg,
+                    is_classifier, feature_names, rung,
+                )
                 lam_grid = cfg.lam_grid
                 if lam_grid is None:
                     # The identity-link GCV path is nearly free; the

@@ -315,7 +315,7 @@ def _bench_fleet_cells(
                 batch_delay_s=0.001,
                 queue_limit=max(256, 4 * clients * requests_per_client),
             ),
-            FleetConfig(workers=workers, replication=workers),
+            FleetConfig(workers=workers),
         )
         app.add_model("bench", model)
         app.start_fleet()
@@ -401,7 +401,7 @@ def bench_serve(
 
     ``fleet_workers`` adds one multi-process cell per entry (e.g.
     ``(1, 2, 4)``), each a :class:`~repro.serve.fleet.FleetApp` with that
-    many workers and full replication, reporting ``rows_per_sec`` and
+    many workers (each holding the model), reporting ``rows_per_sec`` and
     ``speedup_vs_workers1``; ``fleet_failover`` adds a cell that SIGKILLs
     a worker mid-load and pins ``lost`` (requests neither answered nor
     shed).  The artifact records ``cpu_count`` so the validator can gate
@@ -617,9 +617,9 @@ def fleet_obs_smoke(
 
     Runs the identical deterministic request stream twice — once against
     a single-process :class:`~repro.serve.app.ServeApp`, once against a
-    fully-replicated ``workers``-process fleet — each on a fresh metrics
-    registry, and checks that the *fleet-aggregated* worker counters
-    exactly equal the single-process totals (``predict.rows``,
+    ``workers``-process fleet — each on a fresh metrics registry, and
+    checks that the *fleet-aggregated* worker counters exactly equal the
+    single-process totals (``predict.rows``,
     ``serve.requests.predict``, and the ``serve.batch_rows`` histogram
     sum; bucket shapes legitimately differ with flush boundaries, row
     totals cannot).  The fleet run also exports a merged multi-process
@@ -679,7 +679,7 @@ def fleet_obs_smoke(
     try:
         fleet_app = FleetApp(
             ServeConfig(**serve_config),
-            FleetConfig(workers=workers, replication=workers),
+            FleetConfig(workers=workers),
         )
         fleet_app.add_model("smoke", model)
         fleet_app.start_fleet()
@@ -774,9 +774,7 @@ def rollback_smoke(
             ledger_path=ledger_dir,
         )
         if workers > 0:
-            app = FleetApp(
-                config, FleetConfig(workers=workers, replication=workers)
-            )
+            app = FleetApp(config, FleetConfig(workers=workers))
         else:
             app = ServeApp(config)
         app.add_model("bench", v1)

@@ -37,7 +37,7 @@ or from the command line with ``repro serve model.json``.
 from .admission import AdmissionController, Deadline
 from .app import Response, ServeApp, ServeConfig
 from .batcher import MicroBatcher
-from .fleet import Fleet, FleetApp, FleetConfig, HashRing
+from .fleet import Fleet, FleetApp, FleetConfig
 from .http import ServerHandle, get_server, start_server, stop_server
 from .registry import ModelEntry, ModelRegistry
 from .supervisor import Supervisor
@@ -49,7 +49,6 @@ __all__ = [
     "Fleet",
     "FleetApp",
     "FleetConfig",
-    "HashRing",
     "MicroBatcher",
     "ModelEntry",
     "ModelRegistry",

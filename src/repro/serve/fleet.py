@@ -3,11 +3,10 @@
 :class:`Fleet` runs N worker processes (:mod:`repro.serve.worker`), each
 a full :class:`~repro.serve.app.ServeApp` whose models are attached
 zero-copy from ``multiprocessing.shared_memory``
-(:mod:`repro.serve.shm`).  The front end routes requests by model
-fingerprint over a consistent-hash ring — a model's ``replication``
-count picks how many workers hold it (hot models replicated across the
-fleet, cold models sharded onto few), and routing stays stable as
-workers crash and return.
+(:mod:`repro.serve.shm`).  Every worker holds every model: a forest
+lives once in shared memory and each worker maps it without a copy, so
+replicating it costs nothing and there is no placement to keep right.
+The front end round-robins requests over the alive, ready workers.
 
 Robustness model (crash-only):
 
@@ -16,7 +15,7 @@ Robustness model (crash-only):
   in-flight requests are re-dispatched, the supervisor restarts it with
   exponential backoff (:mod:`repro.serve.supervisor`).
 - Re-dispatch is idempotent by construction: predict is pure given the
-  forest fingerprint, so replaying a request on a surviving replica (or
+  forest fingerprint, so replaying a request on a surviving worker (or
   in-process on the front end) cannot double-apply anything.
 - When the fleet cannot sustain quorum, :class:`FleetApp` degrades to
   single-process in-proc serving — requests slow down, none are lost.
@@ -30,8 +29,6 @@ objects and the surrogate cache).
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import itertools
 import json
 import multiprocessing
@@ -56,76 +53,41 @@ from .registry import ModelEntry
 from .shm import SharedModelBundle, SharedSegment, export_model
 from .worker import WorkerOptions, worker_main
 
-__all__ = ["Fleet", "FleetApp", "FleetConfig", "HashRing"]
+__all__ = ["Fleet", "FleetApp", "FleetConfig"]
+
+#: Workers are spawned, never forked: forking a front end whose threads
+#: (batchers, metrics, HTTP handlers) may hold locks mid-fork — exactly
+#: what happens when the supervisor restarts a worker under load — risks
+#: a deadlocked child.  A spawned worker costs an import (~0.5s) per
+#: (re)start.
+_START_METHOD = "spawn"
+#: Ceiling on waiting for workers to boot in :meth:`Fleet.start` (and
+#: the default of :meth:`Fleet.await_ready`).
+_READY_TIMEOUT_S = 60.0
+#: Ceiling on each process join while stopping or reaping a worker.
+_STOP_TIMEOUT_S = 10.0
+#: Ceiling on each worker ack (load, unload, obs pull, chaos switch).
+_ACK_TIMEOUT_S = 60.0
 
 
 @dataclass
 class FleetConfig:
     """Tunables of the multi-process serving fleet.
 
-    ``start_method`` defaults to ``"spawn"``: forking a front end whose
-    threads (batchers, metrics, HTTP handlers) may hold locks mid-fork —
-    exactly what happens when the supervisor restarts a worker under
-    load — risks a deadlocked child.  Spawned workers cost an import
-    (~0.5s) once per (re)start and are immune.
-
     ``quorum`` is the minimum number of ``up`` workers for the fleet to
     be routable; below it :class:`FleetApp` serves in-process.
+    ``miss_threshold`` consecutive unanswered heartbeats mark a worker
+    hung, restarts back off from ``backoff_base_s``, and
     ``max_restarts`` bounds per-worker restarts before the circuit
     breaker parks the slot in ``failed``.
     """
 
     workers: int = 2
-    replication: int = 1
     worker_threads: int = 4
-    start_method: str = "spawn"
-    vnodes: int = 64
+    quorum: int = 1
     miss_threshold: int = 3
     backoff_base_s: float = 0.5
-    backoff_cap_s: float = 30.0
     max_restarts: int = 5
-    quorum: int = 1
-    ready_timeout_s: float = 60.0
-    stop_timeout_s: float = 10.0
-    ack_timeout_s: float = 60.0
-
-
-class HashRing:
-    """Consistent-hash ring with virtual nodes and stable replica sets.
-
-    Hashes are ``blake2b`` over the key string — never the builtin
-    ``hash``, whose per-process randomization (``PYTHONHASHSEED``) would
-    make model placement differ between front-end runs.
-    """
-
-    def __init__(self, nodes, vnodes: int = 64):
-        self._vnodes = max(1, int(vnodes))
-        self._ring = sorted(
-            (self._hash(f"{node}#{v}"), str(node))
-            for node in nodes
-            for v in range(self._vnodes)
-        )
-        self._keys = [h for h, _ in self._ring]
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
-        return int.from_bytes(digest.digest(), "big")
-
-    def replicas(self, key, k: int) -> list[str]:
-        """The ``k`` distinct nodes owning ``key``, in ring order."""
-        if not self._ring:
-            return []
-        start = bisect.bisect_right(self._keys, self._hash(str(key)))
-        out: list[str] = []
-        n = len(self._ring)
-        for j in range(n):
-            node = self._ring[(start + j) % n][1]
-            if node not in out:
-                out.append(node)
-                if len(out) >= k:
-                    break
-        return out
 
 
 class _Pending:
@@ -296,16 +258,15 @@ class Fleet:
 
         self.config = config or FleetConfig()
         self._serve_config = serve_config or ServeConfig()
-        self._ctx = multiprocessing.get_context(self.config.start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._lock = threading.Lock()
         self._handles: dict[str, _WorkerHandle] = {}
         self._models: dict[str, dict] = {}
-        self._rr: dict[int, int] = {}
+        self._turn = 0
         self._rid = itertools.count(1)
         self._started = False
         self._closed = False
         self._names = [f"w{i}" for i in range(max(1, int(self.config.workers)))]
-        self._ring = HashRing(self._names, vnodes=self.config.vnodes)
         self._loop_stop = threading.Event()
         self._loop_thread: threading.Thread | None = None
         self.aggregator = MetricsAggregator()
@@ -315,7 +276,6 @@ class Fleet:
             self,
             miss_threshold=self.config.miss_threshold,
             backoff_base_s=self.config.backoff_base_s,
-            backoff_cap_s=self.config.backoff_cap_s,
             max_restarts=self.config.max_restarts,
             quorum=self.config.quorum,
         )
@@ -337,17 +297,20 @@ class Fleet:
             trace=get_tracer() is not None,
         )
 
-    def _spawn(self, name: str) -> _WorkerHandle:
+    def _bundles(self) -> dict:
         with self._lock:
-            bundles = [
-                record["bundle"]
-                for record in self._models.values()
-                if name in record["assigned"]
-            ]
+            return {
+                model_id: record["bundle"]
+                for model_id, record in self._models.items()
+            }
+
+    def _spawn(self, name: str) -> _WorkerHandle:
+        bundles = self._bundles()
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(name, child_conn, bundles, self._worker_options()),
+            args=(name, child_conn, list(bundles.values()),
+                  self._worker_options()),
             name=f"repro-fleet-{name}",
             daemon=True,
         )
@@ -359,13 +322,22 @@ class Fleet:
         with self._lock:
             self._handles[name] = handle
         handle.start_reader(self)
+        # A model added, swapped or removed while the process started
+        # missed both the spawn arguments and the broadcast; catch up.
+        # The pipe buffers these until the worker has booted.
+        current = self._bundles()
+        for model_id, bundle in current.items():
+            if bundles.get(model_id) is not bundle:
+                handle.send(("load", bundle))
+        for model_id in bundles.keys() - current.keys():
+            handle.send(("unload", model_id))
         return handle
 
     def start(self, supervise_interval_s: float | None = None) -> None:
         """Spawn the fleet and wait for quorum.
 
         Raises :class:`FleetDegradedError` when fewer than ``quorum``
-        workers become ready within ``ready_timeout_s``.  With
+        workers become ready within ``_READY_TIMEOUT_S``.  With
         ``supervise_interval_s`` set, a daemon thread ticks the
         supervisor on that wall interval (the CLI path); tests tick
         explicitly instead.
@@ -381,7 +353,7 @@ class Fleet:
         ready = 0
         for name in self._names:
             handle = self.handle(name)
-            if handle.ready_event.wait(self.config.ready_timeout_s):
+            if handle.ready_event.wait(_READY_TIMEOUT_S):
                 ready += 1
         if ready < self.config.quorum:
             self.close(drain=False)
@@ -409,16 +381,16 @@ class Fleet:
             self._models.clear()
         self._loop_stop.set()
         if self._loop_thread is not None:
-            self._loop_thread.join(timeout=self.config.stop_timeout_s)
+            self._loop_thread.join(timeout=_STOP_TIMEOUT_S)
         for handle in handles:
             if handle.alive:
                 handle.stopping = True
                 handle.send(("stop", bool(drain)))
         for handle in handles:
-            handle.proc.join(self.config.stop_timeout_s)
+            handle.proc.join(_STOP_TIMEOUT_S)
             if handle.proc.is_alive():  # pragma: no cover - stuck worker
                 handle.proc.terminate()
-                handle.proc.join(self.config.stop_timeout_s)
+                handle.proc.join(_STOP_TIMEOUT_S)
             handle.mark_dead("fleet closed")
         for record in models:
             for segment in record["segments"]:
@@ -427,68 +399,49 @@ class Fleet:
     # ------------------------------------------------------------------
     # models
     # ------------------------------------------------------------------
-    def add_model(self, entry: ModelEntry, replicas: int | None = None) -> list[str]:
-        """Export ``entry``'s encoding to shared memory and assign workers.
+    def _broadcast(self, key: tuple, message) -> None:
+        """Send ``message`` to every live worker and wait for each ack."""
+        with self._lock:
+            if not self._started or self._closed:
+                return
+            handles = list(self._handles.values())
+        for handle in handles:
+            if handle.alive:
+                handle.await_ack(key, message, _ACK_TIMEOUT_S)
 
-        Returns the assigned worker names.  Callable before ``start()``
-        (bundles ride along on spawn) or after (live workers load and
-        ack).  Re-adding an id is a hot swap: old segments are unlinked
-        after the new bundle is broadcast — workers still mapping the old
-        segment keep serving from it until they process the swap (POSIX
-        unlink-while-mapped), so there is no unserved window.
+    def add_model(self, entry: ModelEntry) -> None:
+        """Export ``entry``'s encoding to shared memory for every worker.
+
+        Callable before ``start()`` (bundles ride along on spawn) or
+        after (live workers load and ack).  Re-adding an id is a hot
+        swap: old segments are unlinked after the new bundle is
+        broadcast — workers still mapping the old segment keep serving
+        from it until they process the swap (POSIX unlink-while-mapped),
+        so there is no unserved window.
         """
-        k = int(replicas) if replicas is not None else self.config.replication
-        k = max(1, min(k, len(self._names)))
         bundle, segments = export_model(
             entry.model_id, entry.fingerprint, entry.n_features, entry.engine
         )
-        assigned = self._ring.replicas(entry.fingerprint, k)
         with self._lock:
             old = self._models.get(entry.model_id)
             self._models[entry.model_id] = {
                 "bundle": bundle,
                 "segments": segments,
-                "assigned": assigned,
             }
-            broadcast = self._started and not self._closed
-        if broadcast:
-            for name in assigned:
-                handle = self._handle_or_none(name)
-                if handle is not None and handle.alive:
-                    handle.await_ack(
-                        ("loaded", entry.model_id),
-                        ("load", bundle),
-                        self.config.ack_timeout_s,
-                    )
+        self._broadcast(("loaded", entry.model_id), ("load", bundle))
         if old is not None:
             for segment in old["segments"]:
                 segment.unlink()
-        return assigned
 
     def remove_model(self, model_id: str) -> None:
-        """Unassign a model fleet-wide and unlink its segments."""
+        """Unload a model fleet-wide and unlink its segments."""
         with self._lock:
             record = self._models.pop(model_id, None)
-            broadcast = self._started and not self._closed
         if record is None:
             return
-        if broadcast:
-            for name in record["assigned"]:
-                handle = self._handle_or_none(name)
-                if handle is not None and handle.alive:
-                    handle.await_ack(
-                        ("unloaded", model_id),
-                        ("unload", model_id),
-                        self.config.ack_timeout_s,
-                    )
+        self._broadcast(("unloaded", model_id), ("unload", model_id))
         for segment in record["segments"]:
             segment.unlink()
-
-    def assignment(self, model_id: str) -> list[str]:
-        """The worker names currently assigned to ``model_id``."""
-        with self._lock:
-            record = self._models.get(model_id)
-            return list(record["assigned"]) if record else []
 
     # ------------------------------------------------------------------
     # dispatch
@@ -512,59 +465,54 @@ class Fleet:
             raise ServeError(f"no fleet worker named {name!r}")
         return handle
 
-    def _pick(self, assigned, fingerprint: int, tried: set) -> _WorkerHandle | None:
+    def _pick(self, tried: set) -> _WorkerHandle | None:
+        """The next alive, ready, untried worker in round-robin order."""
         with self._lock:
-            candidates = []
-            for name in assigned:
-                handle = self._handles.get(name)
-                if (
-                    handle is not None
-                    and handle.alive
-                    and handle.ready_event.is_set()
-                    and name not in tried
-                ):
-                    candidates.append(handle)
+            candidates = [
+                handle
+                for name, handle in self._handles.items()
+                if handle.alive
+                and handle.ready_event.is_set()
+                and name not in tried
+            ]
             if not candidates:
                 return None
-            turn = self._rr.get(fingerprint, 0)
-            self._rr[fingerprint] = turn + 1
+            turn = self._turn
+            self._turn = turn + 1
         return candidates[turn % len(candidates)]
 
     def dispatch(
         self, model_id: str, method: str, path: str, body, deadline: Deadline
     ) -> Response:
-        """Route one request to a replica of ``model_id``; fail over.
+        """Route one request for ``model_id`` to a worker; fail over.
 
         A worker dying mid-request wakes the dispatch with outcome
-        ``"died"`` and the loop retries the next untried alive replica —
+        ``"died"`` and the loop retries the next untried alive worker —
         predict is pure given the fingerprint, so the replay is
-        idempotent.  Raises :class:`WorkerCrashError` when every replica
+        idempotent.  Raises :class:`WorkerCrashError` when every worker
         has died (callers with a local registry fall back in-process),
         :class:`FleetDegradedError` when the fleet is closed or was never
         started, and :class:`StageTimeoutError` on deadline expiry.
         """
         with self._lock:
             serving = self._started and not self._closed
-            record = self._models.get(model_id)
+            known = model_id in self._models
         if not serving:
             raise FleetDegradedError(
                 "fleet is not serving (closed or never started)"
             )
-        if record is None:
+        if not known:
             raise ModelNotFoundError(
-                f"model {model_id!r} is not assigned to the fleet"
+                f"model {model_id!r} is not loaded in the fleet"
             )
-        assigned = record["assigned"]
-        fingerprint = record["bundle"].fingerprint
         tried: set[str] = set()
         dispatched = False
         while True:
-            handle = self._pick(assigned, fingerprint, tried)
+            handle = self._pick(tried)
             if handle is None:
                 raise WorkerCrashError(
-                    f"no alive replica of model {model_id!r} "
-                    f"({'re-dispatch exhausted' if dispatched else 'none available'}: "
-                    f"assigned {assigned})"
+                    f"no alive worker for model {model_id!r} "
+                    f"({'re-dispatch exhausted' if dispatched else 'none available'})"
                 )
             tried.add(handle.name)
             rid = next(self._rid)
@@ -611,7 +559,7 @@ class Fleet:
         handle = self._handle_or_none(name)
         if handle is None:
             return
-        handle.proc.join(self.config.stop_timeout_s)
+        handle.proc.join(_STOP_TIMEOUT_S)
         handle.mark_dead("crashed")
 
     def respawn(self, name: str) -> None:
@@ -633,14 +581,14 @@ class Fleet:
         return handle.await_ack(
             ("chaos", flag, bool(value)),
             ("chaos", flag, bool(value)),
-            self.config.ack_timeout_s,
+            _ACK_TIMEOUT_S,
         )
 
     def await_ready(self, name: str, timeout_s: float | None = None) -> bool:
         """Wait until worker ``name``'s current process reports ready."""
         handle = self.handle(name)
         return handle.ready_event.wait(
-            timeout_s if timeout_s is not None else self.config.ready_timeout_s
+            timeout_s if timeout_s is not None else _READY_TIMEOUT_S
         )
 
     # ------------------------------------------------------------------
@@ -677,9 +625,7 @@ class Fleet:
         answered; dead or booting workers are skipped (their last
         heartbeat payload is already merged).
         """
-        timeout = (
-            timeout_s if timeout_s is not None else self.config.ack_timeout_s
-        )
+        timeout = timeout_s if timeout_s is not None else _ACK_TIMEOUT_S
         with self._lock:
             handles = list(self._handles.values())
         answered = 0
@@ -726,10 +672,7 @@ class Fleet:
             snapshot["started"] = self._started
             snapshot["closed"] = self._closed
             snapshot["models"] = {
-                model_id: {
-                    "assigned": list(record["assigned"]),
-                    "fingerprint": record["bundle"].fingerprint,
-                }
+                model_id: {"fingerprint": record["bundle"].fingerprint}
                 for model_id, record in sorted(self._models.items())
             }
         return snapshot
@@ -741,7 +684,7 @@ class FleetApp(ServeApp):
     The front end keeps the full single-process app — registry with real
     forest objects, surrogate cache, admission control — so explain/GAM
     endpoints work unchanged and predict degrades to in-process serving
-    the moment the fleet is below quorum or a model loses every replica.
+    the moment the fleet is below quorum or every worker has died.
     Responses are bitwise identical either way: workers evaluate the
     same engine buffers (literally the same physical memory).
     """
@@ -758,10 +701,10 @@ class FleetApp(ServeApp):
         """Spawn the worker fleet (see :meth:`Fleet.start`)."""
         self.fleet.start(supervise_interval_s=supervise_interval_s)
 
-    def add_model(self, model_id: str, source, replicas: int | None = None):
-        """Register a model locally and assign it across the fleet."""
+    def add_model(self, model_id: str, source):
+        """Register a model locally and load it on every worker."""
         entry = super().add_model(model_id, source)
-        self.fleet.add_model(entry, replicas=replicas)
+        self.fleet.add_model(entry)
         return entry
 
     def remove_model(self, model_id: str):
@@ -790,7 +733,7 @@ class FleetApp(ServeApp):
                 return response
             except (WorkerCrashError, FleetDegradedError, ModelNotFoundError):
                 # Zero-lost guarantee: the front end holds the same
-                # encoding, so a request that outlived every replica is
+                # encoding, so a request that outlived every worker is
                 # served here instead of surfacing a 5xx.
                 metric_inc("fleet.local_fallback")
         else:

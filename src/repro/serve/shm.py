@@ -23,7 +23,7 @@ drain and worker-crash cleanup, and an ``atexit`` sweep unlinks anything
 left if the front-end itself dies.  Workers *attach* only — they share
 the front end's ``resource_tracker`` process (spawned children inherit
 it), so a SIGKILL-ed or crashed worker can never drag a segment out from
-under its surviving replicas, and POSIX unlink-while-mapped semantics
+under the surviving workers, and POSIX unlink-while-mapped semantics
 keep an already-attached worker working even after the owner unlinks.
 The fleet chaos suite asserts zero leaked segments after a
 kill-restart-drain cycle.
@@ -234,7 +234,7 @@ def attach_block(
     spawned ``multiprocessing`` children and therefore share the front
     end's ``resource_tracker`` process: attaching re-registers the same
     name into the same tracker set (a no-op), so a SIGKILL-ed worker can
-    never drag a segment out from under its replicas, and the tracker
+    never drag a segment out from under the other workers, and the tracker
     still unlinks everything if the whole process tree dies.
     """
     segment = shared_memory.SharedMemory(name=block.segment)

@@ -1,7 +1,7 @@
 """Fleet worker process: a :class:`ServeApp` over a pipe transport.
 
 :func:`worker_main` is the (spawn-picklable) entry point of one fleet
-worker.  The worker attaches its assigned models from shared memory
+worker.  The worker attaches every model from shared memory
 (:mod:`repro.serve.shm`), installs them into a private
 :class:`~repro.serve.app.ServeApp`, and serves requests received over a
 ``multiprocessing`` pipe.  The protocol is deliberately tiny — plain

@@ -1,6 +1,11 @@
-"""Text-mode visualization and CSV export of reproduced figures."""
+"""Text-mode visualization and CSV export of reproduced figures.
 
-from .ascii import (
+The text charts live in the leaf module :mod:`repro._ascii` so that
+lower layers (``repro.core.report``) can render them without importing
+this presentation layer; they are exported here under the same names.
+"""
+
+from .._ascii import (
     bar_chart,
     heatmap,
     line_chart,

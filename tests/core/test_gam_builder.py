@@ -66,6 +66,19 @@ class TestBuildTerms:
         # Categorical features stay factors even in linear mode.
         assert isinstance(terms[1], FactorTerm)
 
+    def test_degraded_rungs(self, thresholds):
+        from repro.gam import LinearTerm
+
+        # univariate-only: splines even for the categorical feature and in
+        # linear mode; linear: one linear term each.  Neither has tensors.
+        cfg = GEFConfig(component_type="linear")
+        terms = build_terms([0, 1], [(0, 2)], thresholds, cfg, rung="univariate-only")
+        assert [type(t) for t in terms] == [SplineTerm, SplineTerm]
+        terms = build_terms([0, 1], [(0, 2)], thresholds, GEFConfig(), rung="linear")
+        assert [type(t) for t in terms] == [LinearTerm, LinearTerm]
+        with pytest.raises(ValueError):
+            build_terms([0], [], thresholds, cfg, rung="quadratic")
+
     def test_invalid_component_type(self):
         import pytest as _pytest
 

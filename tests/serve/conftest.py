@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets import make_d_prime
 from repro.forest import GradientBoostingRegressor
-from repro.obs import clear_span_observers, disable_metrics, disable_tracing
+from repro.obs import disable_metrics, disable_tracing
 
 
 @pytest.fixture(autouse=True)
@@ -27,11 +27,9 @@ def _serve_clean_slate():
     """
     disable_tracing()
     disable_metrics()
-    clear_span_observers()
     yield
     disable_tracing()
     disable_metrics()
-    clear_span_observers()
 
 
 @pytest.fixture(scope="session")

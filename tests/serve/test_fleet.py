@@ -1,29 +1,39 @@
 """Fleet routing, parity, lifecycle, and the loadgen/benchmark plumbing.
 
-One module-scoped fleet (2 workers, full replication) is shared by the
+One module-scoped fleet (2 workers, each holding every model) is shared by the
 read-only tests; spawn cost is paid once.  Tests that mutate fleet state
 (model add/remove) restore it before returning the fixture.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.errors import FleetDegradedError, ModelNotFoundError
+from repro.devtools.faultinject import kill_worker
+from repro.forest import forest_fingerprint, forest_from_dict, forest_to_dict
+from repro.obs import fleet_to_prometheus
+from repro.obs.trace import advance
 from repro.serve import FleetApp, FleetConfig, ServeConfig
 from repro.serve.admission import Deadline
-from repro.serve.fleet import HashRing
+from repro.serve.fleet import _Pending
 from repro.serve.shm import live_segments
+
+#: Request ids for messages sent straight to one worker; far above the
+#: fleet's own counter so the two never share an id on one pipe.
+_DIRECT_RIDS = itertools.count(10**9)
 
 
 @pytest.fixture(scope="module")
 def fleet_app(serve_forest):
     app = FleetApp(
         ServeConfig(max_batch=16, queue_limit=4096),
-        FleetConfig(workers=2, replication=2, quorum=1),
+        FleetConfig(workers=2, quorum=1),
     )
     app.add_model("m", serve_forest)
     app.start_fleet()
@@ -35,27 +45,29 @@ def _predict_body(rows, model="m"):
     return json.dumps({"model": model, "rows": np.asarray(rows).tolist()})
 
 
-class TestHashRing:
-    def test_replicas_distinct_and_bounded(self):
-        ring = HashRing([f"w{i}" for i in range(5)], vnodes=16)
-        replicas = ring.replicas("model-a", 3)
-        assert len(replicas) == 3
-        assert len(set(replicas)) == 3
-        assert ring.replicas("model-a", 10) == ring.replicas("model-a", 5)
+def _worker_healthz(fleet, name):
+    """``GET /healthz`` sent straight to worker ``name``, past the router."""
+    rid = next(_DIRECT_RIDS)
+    pending = _Pending()
+    message = ("req", rid, "GET", "/healthz", b"", None)
+    assert fleet.handle(name).submit(rid, message, pending)
+    assert pending.event.wait(30.0)
+    assert pending.outcome == "ok" and pending.status == 200
+    return json.loads(pending.body)
 
-    def test_assignment_is_stable_across_instances(self):
-        a = HashRing(["w0", "w1", "w2"], vnodes=32)
-        b = HashRing(["w0", "w1", "w2"], vnodes=32)
-        for key in (0, 1, "fingerprint", 123456789):
-            assert a.replicas(key, 2) == b.replicas(key, 2)
 
-    def test_keys_spread_over_nodes(self):
-        ring = HashRing([f"w{i}" for i in range(4)], vnodes=64)
-        owners = {ring.replicas(k, 1)[0] for k in range(50)}
-        assert len(owners) == 4
-
-    def test_empty_ring(self):
-        assert HashRing([], vnodes=4).replicas("x", 2) == []
+def _worker_predicts(fleet):
+    """Per-worker ``fleet_worker_*`` predict counters, freshly synced."""
+    fleet.sync_obs()
+    text = fleet_to_prometheus(fleet.aggregator)
+    return {
+        worker: float(value)
+        for worker, value in re.findall(
+            r'^fleet_worker_serve_requests_predict_total\{worker="(\w+)"\} (\S+)$',
+            text,
+            re.MULTILINE,
+        )
+    }
 
 
 class TestFleetServing:
@@ -73,11 +85,14 @@ class TestFleetServing:
         fleet = fleet_app.fleet
         deadline = Deadline(30.0)
         body = _predict_body(serve_rows[:2])
+        before = _worker_predicts(fleet)
         for _ in range(4):
             response = fleet.dispatch("m", "POST", "/predict", body, deadline)
             assert response.status == 200
-        # Round-robin over both replicas: the rotation counter advanced.
-        assert fleet._rr[fleet_app.registry.get("m").fingerprint] >= 4
+        after = _worker_predicts(fleet)
+        # Round-robin over both workers: each served half of the four.
+        spread = {w: after[w] - before.get(w, 0.0) for w in after}
+        assert spread == {"w0": 2.0, "w1": 2.0}
 
     def test_dispatch_unknown_model(self, fleet_app):
         with pytest.raises(ModelNotFoundError):
@@ -91,7 +106,9 @@ class TestFleetServing:
         assert fleet["state"] == "ok"
         assert set(fleet["workers"]) == {"w0", "w1"}
         assert all(w["state"] == "up" for w in fleet["workers"].values())
-        assert fleet["models"]["m"]["assigned"]
+        assert fleet["models"]["m"] == {
+            "fingerprint": fleet_app.registry.get("m").fingerprint
+        }
         assert fleet["started"] is True and fleet["closed"] is False
 
     def test_bad_request_still_400_through_fleet(self, fleet_app):
@@ -129,13 +146,64 @@ class TestFleetModels:
         fleet_app.remove_model("swap")
         assert set(live_segments()) == before
 
-    def test_assignment_respects_replication(self, fleet_app, serve_forest):
-        fleet_app.add_model("solo", serve_forest, replicas=1)
+    def test_every_worker_holds_every_model_across_swaps(
+        self, fleet_app, serve_forest
+    ):
+        # Four versions, none equal to the fixture's "m": v_k drops k trees.
+        versions = []
+        for k in range(1, 5):
+            forest = forest_from_dict(forest_to_dict(serve_forest))
+            del forest.trees_[-k:]
+            versions.append(forest)
+        fingerprints = [forest_fingerprint(f) for f in versions]
+        assert len(set(fingerprints)) == 4
         try:
-            assert len(fleet_app.fleet.assignment("solo")) == 1
-            assert len(fleet_app.fleet.assignment("m")) == 2
+            # Added after start_fleet(), then hot swapped three times.
+            for step, forest in enumerate(versions):
+                fleet_app.add_model("rolling", forest)
+                stale = set(fingerprints[:step])
+                for name in ("w0", "w1"):
+                    models = _worker_healthz(fleet_app.fleet, name)["models"]
+                    assert models["rolling"]["fingerprint"] == fingerprints[step]
+                    held = {m["fingerprint"] for m in models.values()}
+                    assert not held & stale, (name, step)
         finally:
-            fleet_app.remove_model("solo")
+            fleet_app.remove_model("rolling")
+        for name in ("w0", "w1"):
+            assert "rolling" not in _worker_healthz(fleet_app.fleet, name)["models"]
+
+    def test_model_added_during_respawn_reaches_the_new_worker(
+        self, serve_forest, monkeypatch
+    ):
+        # The add lands after the respawn snapshots its bundles and before
+        # the new handle is published, so neither the spawn arguments nor
+        # the broadcast carry it; the respawned worker must still load it.
+        app = FleetApp(
+            ServeConfig(),
+            FleetConfig(workers=2, quorum=1, backoff_base_s=1000.0),
+        )
+        app.add_model("m", serve_forest)
+        app.start_fleet()
+        fleet, sup = app.fleet, app.fleet.supervisor
+        try:
+            sup.tick()
+            kill_worker(fleet, "w0")
+            sup.tick()
+            options = fleet._worker_options
+
+            def add_mid_spawn():
+                monkeypatch.setattr(fleet, "_worker_options", options)
+                app.add_model("late", serve_forest)
+                return options()
+
+            monkeypatch.setattr(fleet, "_worker_options", add_mid_spawn)
+            advance(1001.0)
+            sup.tick()
+            assert fleet.await_ready("w0", 60.0)
+            for name in ("w0", "w1"):
+                assert "late" in _worker_healthz(fleet, name)["models"]
+        finally:
+            app.close(drain=True)
 
 
 class TestDegradedServing:

@@ -54,9 +54,7 @@ def _predict(app, rows, model="m"):
 
 
 def _build(serve_forest, **overrides):
-    defaults = dict(
-        workers=2, replication=2, quorum=2, backoff_base_s=1000.0
-    )
+    defaults = dict(workers=2, quorum=2, backoff_base_s=1000.0)
     defaults.update(overrides)
     app = FleetApp(
         ServeConfig(max_batch=16, queue_limit=8192),
@@ -214,7 +212,7 @@ def test_corrupt_heartbeat_counts_and_escalates(serve_forest):
 def test_restart_storm_opens_circuit_breaker(serve_forest):
     """More crashes than max_restarts parks the slot in ``failed``."""
     app = _build(
-        serve_forest, workers=1, replication=1, quorum=1, max_restarts=0
+        serve_forest, workers=1, quorum=1, max_restarts=0
     )
     fleet, sup = app.fleet, app.fleet.supervisor
     try:

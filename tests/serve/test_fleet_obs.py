@@ -187,7 +187,7 @@ class TestSloCycle:
 def fleet_app(serve_forest):
     app = FleetApp(
         ServeConfig(max_batch=16, queue_limit=4096),
-        FleetConfig(workers=2, replication=2, quorum=1),
+        FleetConfig(workers=2, quorum=1),
     )
     app.add_model("m", serve_forest)
     app.start_fleet()
@@ -252,7 +252,7 @@ class TestMergedTrace:
         enable_tracing()
         app = FleetApp(
             ServeConfig(max_batch=16, queue_limit=4096),
-            FleetConfig(workers=2, replication=2, quorum=1),
+            FleetConfig(workers=2, quorum=1),
         )
         try:
             app.add_model("m", serve_forest)
@@ -292,7 +292,7 @@ class TestMergedTrace:
         enable_tracing()
         app = FleetApp(
             ServeConfig(max_batch=16, queue_limit=4096),
-            FleetConfig(workers=2, replication=2, quorum=1),
+            FleetConfig(workers=2, quorum=1),
         )
         try:
             app.add_model("m", serve_forest)
